@@ -7,8 +7,9 @@ Shapes are written ``T4``, ``M2,3``, ``I1,2``.  Generators are written
 with the diagram grammar of the library, a space-separated permutation (or
 ``id``), edges as leaf intervals ``a-b`` listed in wedge order, and the
 metric section only meaningful for cubical generators (it defaults to every
-edge).  All commands accept ``--format json``; order-related commands can
-emit DOT digraphs with ``--dot``.
+edge).  All commands accept ``--format json``.  ``minmax`` and ``leq`` print
+the cover digraph of the shape class, and ``homology`` its boundary complex,
+as DOT with ``--dot``.
 """
 
 from __future__ import annotations
@@ -251,8 +252,13 @@ def cmd_tensor_ainf(args):
 
 
 def cmd_verify(args):
-    from .verify import run_suite
-    return 1 if run_suite(args.max_leaves) else 0
+    from .verify import run_checks, run_suite
+    if args.format == "text":
+        return 1 if run_suite(args.max_leaves) else 0
+    checks = [vars(result) for result in run_checks(args.max_leaves)]
+    passed = sum(check["ok"] for check in checks)
+    print(json.dumps({"checks": checks, "passed": passed}, indent=2))
+    return 0 if passed == len(checks) else 1
 
 
 def poset_dot(shape):
@@ -267,32 +273,22 @@ def poset_dot(shape):
 
 
 def complex_dot(shape, which):
-    from .homology import c_cells, q_cells
-    from .operad_c import c_unit
-    from .operad_q import q_unit
+    from .homology import cell_generators
+
+    def label(gen):
+        if isinstance(gen, CGenerator):
+            return fmt(gen.diagram)
+        n = leaf_count(gen.diagram)
+        return "%s | m=%s" % (fmt(gen.diagram),
+                              ",".join(fmt_edge(k, n) for k in gen.metric))
+
+    layers, boundary = cell_generators(shape, which)
     lines = ["digraph boundary {"]
-    if which == "c":
-        layers = c_cells(shape)
-        for layer in layers:
-            for d in layer:
-                x = boundary_c(c_unit(d))
-                for gen, coef in x:
-                    lines.append('  "%s" -> "%s" [label="%+d"];'
-                                 % (fmt(d), fmt(gen.diagram), coef))
-    else:
-        layers = q_cells(shape)
-        for layer in layers:
-            for d, metric in layer:
-                n = leaf_count(d)
-                src = "%s | m=%s" % (fmt(d),
-                                     ",".join(fmt_edge(k, n) for k in metric))
-                for gen, coef in boundary_q(q_unit(d, metric=metric)):
-                    dst = "%s | m=%s" % (
-                        fmt(gen.diagram),
-                        ",".join(fmt_edge(k, leaf_count(gen.diagram))
-                                 for k in gen.metric))
-                    lines.append('  "%s" -> "%s" [label="%+d"];'
-                                 % (src, dst, coef))
+    for layer in layers:
+        for gen in layer:
+            for gen2, coef in boundary(unit(gen)):
+                lines.append('  "%s" -> "%s" [label="%+d"];'
+                             % (label(gen), label(gen2), coef))
     lines.append("}")
     return "\n".join(lines)
 
@@ -302,78 +298,60 @@ def build_parser():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--dot", action="store_true",
-                       help="emit a DOT digraph where applicable")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("enumerate", help="diagrams of a shape class by degree")
+    p = command("enumerate", cmd_enumerate, "diagrams of a shape class by degree")
     p.add_argument("shape")
     p.add_argument("degree", type=int)
-    common(p)
-    p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("boundary", help="boundary of a generator")
+    p = command("boundary", cmd_boundary, "boundary of a generator")
     p.add_argument("operad", choices=("c", "q"))
     p.add_argument("generator")
-    common(p)
-    p.set_defaults(fn=cmd_boundary)
 
-    p = sub.add_parser("compose", help="operadic composition x o_i y")
+    p = command("compose", cmd_compose, "operadic composition x o_i y")
     p.add_argument("operad", choices=("c", "q"))
     p.add_argument("x")
     p.add_argument("index", type=int)
     p.add_argument("y")
-    common(p)
-    p.set_defaults(fn=cmd_compose)
 
-    p = sub.add_parser("minmax", help="minimal and maximal binary expansions")
+    p = command("minmax", cmd_minmax, "minimal and maximal binary expansions")
     p.add_argument("diagram")
-    common(p)
-    p.set_defaults(fn=cmd_minmax)
 
-    p = sub.add_parser("leq", help="compare binary diagrams in the order")
+    p = command("leq", cmd_leq, "compare binary diagrams in the order")
     p.add_argument("b1")
     p.add_argument("b2")
-    common(p)
-    p.set_defaults(fn=cmd_leq)
 
-    p = sub.add_parser("qmap", help="subdivision image of a chain generator")
+    p = command("qmap", cmd_qmap, "subdivision image of a chain generator")
     p.add_argument("generator")
-    common(p)
-    p.set_defaults(fn=cmd_qmap)
 
-    p = sub.add_parser("pmap", help="projection image of a cubical generator")
+    p = command("pmap", cmd_pmap, "projection image of a cubical generator")
     p.add_argument("generator")
-    common(p)
-    p.set_defaults(fn=cmd_pmap)
 
-    p = sub.add_parser("diagonal", help="tensor diagonal of a corolla")
+    p = command("diagonal", cmd_diagonal, "tensor diagonal of a corolla")
     p.add_argument("corolla")
     p.add_argument("--mod-higher", action="store_true",
                    help="delete factors using higher inner products")
-    common(p)
-    p.set_defaults(fn=cmd_diagonal)
 
-    p = sub.add_parser("homology", help="Betti numbers of a shape class")
+    p = command("homology", cmd_homology, "Betti numbers of a shape class")
     p.add_argument("shape")
-    p.add_argument("--q", action="store_true",
-                   help="use the cubical complex")
-    common(p)
-    p.set_defaults(fn=cmd_homology)
+    p.add_argument("--q", action="store_true", help="use the cubical complex")
 
-    p = sub.add_parser("tensor-ainf",
-                       help="check a tensor-product structure relation")
+    p = command("tensor-ainf", cmd_tensor_ainf,
+                "check a tensor-product structure relation")
     p.add_argument("fixture_a")
     p.add_argument("fixture_b")
     p.add_argument("--arity", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_tensor_ainf)
 
-    p = sub.add_parser("verify", help="run the exhaustive invariant suites")
+    p = command("verify", cmd_verify, "run the exhaustive invariant suites")
     p.add_argument("--max-leaves", type=int, default=6)
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+
+    for name in ("minmax", "leq", "homology"):
+        sub.choices[name].add_argument("--dot", action="store_true",
+                                       help="emit a DOT digraph instead")
     return ap
 
 
@@ -381,7 +359,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
-    except (DiagramError, ValueError) as exc:
+    except (DiagramError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0 if code is None else code

@@ -22,11 +22,11 @@ from functools import lru_cache
 from itertools import combinations
 
 from .diagrams import (
-    INNER, contract, degree, edges, enumerate_class, fmt, is_corolla,
-    leaf_count, shape_class,
+    INNER, contract, corolla_of, degree, enumerate_class, is_corolla,
+    leaf_count, shape_class, shapes_up_to,
 )
-from .formal import FormalSum, unit
-from .operad_c import boundary_c, c_unit, compose_c
+from .formal import FormalSum, bilinear, unit
+from .operad_c import boundary_c, c_unit, compose_c, sym_action
 from .operad_q import QGenerator, boundary_q
 from .tamari import dmax, dmin, leq
 from .transfer import p_map, q_map
@@ -54,38 +54,40 @@ def delta_q(x):
     return out
 
 
-def q_tensor_boundary(x):
-    """Differential of the tensor square, Koszul sign on the right factor."""
+def _pair(a, b):
+    return unit((a, b))
+
+
+def _tensor_boundary(x, boundary, degree_of):
+    # the Koszul sign of the right factor is the degree of the left one
     out = FormalSum()
     for (a, b), coef in x.terms.items():
-        for g, c in boundary_q(unit(a)).terms.items():
-            out.add_term((g, b), coef * c)
-        s = (-1) ** len(a.metric)
-        for g, c in boundary_q(unit(b)).terms.items():
-            out.add_term((a, g), coef * c * s)
+        bilinear(boundary(unit(a)), unit(b), _pair, coef, out)
+        bilinear(unit(a), boundary(unit(b)), _pair,
+                 coef * (-1) ** degree_of(a), out)
     return out
 
 
+def q_tensor_boundary(x):
+    """Differential of the tensor square, Koszul sign on the right factor."""
+    return _tensor_boundary(x, boundary_q, lambda a: len(a.metric))
+
+
 def c_tensor_boundary(x):
+    return _tensor_boundary(x, boundary_c, lambda a: degree(a.diagram))
+
+
+def _both_factors(f, x):
+    """Apply the linear map f to both factors of a sum of tensor generators."""
     out = FormalSum()
     for (a, b), coef in x.terms.items():
-        for g, c in boundary_c(unit(a)).terms.items():
-            out.add_term((g, b), coef * c)
-        s = (-1) ** degree(a.diagram)
-        for g, c in boundary_c(unit(b)).terms.items():
-            out.add_term((a, g), coef * c * s)
+        bilinear(f(unit(a)), f(unit(b)), _pair, coef, out)
     return out
 
 
 def p_tensor(x):
     """Apply p to both factors of a sum of tensor generators."""
-    out = FormalSum()
-    for (a, b), coef in x.terms.items():
-        pa, pb = p_map(unit(a)), p_map(unit(b))
-        for ga, ca in pa.terms.items():
-            for gb, cb in pb.terms.items():
-                out.add_term((ga, gb), coef * ca * cb)
-    return out
+    return _both_factors(p_map, x)
 
 
 def delta_c(x):
@@ -95,26 +97,15 @@ def delta_c(x):
 
 def c_tensor_compose(x, i, y):
     """Componentwise composition of tensor elements with the Koszul sign."""
-    out = FormalSum()
-    for (a, b), ca in x.terms.items():
-        for (u, v), cb in y.terms.items():
-            sign = (-1) ** (degree(b.diagram) * degree(u.diagram))
-            left = compose_c(a, i, u)
-            right = compose_c(b, i, v)
-            for gl, cl in left.terms.items():
-                for gr, cr in right.terms.items():
-                    out.add_term((gl, gr), ca * cb * cl * cr * sign)
-    return out
+    def term(ab, uv):
+        (a, b), (u, v) = ab, uv
+        sign = (-1) ** (degree(b.diagram) * degree(u.diagram))
+        return bilinear(compose_c(a, i, u), compose_c(b, i, v), _pair, sign)
+    return bilinear(x, y, term)
 
 
 def c_tensor_action(sigma, x):
-    from .operad_c import sym_action
-    out = FormalSum()
-    for (a, b), coef in x.terms.items():
-        for ga, ca in sym_action(sigma, unit(a)).terms.items():
-            for gb, cb in sym_action(sigma, unit(b)).terms.items():
-                out.add_term((ga, gb), coef * ca * cb)
-    return out
+    return _both_factors(lambda z: sym_action(sigma, z), x)
 
 
 def unsigned_support(x):
@@ -180,18 +171,8 @@ def coassoc_defect_c(x):
 def noncoassociativity_witness(max_leaves):
     """First corolla (by leaf count, then kind, then shape) where the chain
     diagonal fails to be coassociative; None if none is found in range."""
-    from .diagrams import ShapeClass, TREE, MODULE, corolla_of
-    shapes = []
-    for n in range(2, max_leaves + 1):
-        shapes.append(ShapeClass(TREE, (n,)))
-    for total in range(1, max_leaves):
-        for j in range(total + 1):
-            shapes.append(ShapeClass(MODULE, (j, total - j)))
-    for total in range(0, max_leaves - 1):
-        for j in range(total + 1):
-            shapes.append(ShapeClass(INNER, (j, total - j)))
-    shapes = [s for s in shapes if leaf_count(corolla_of(s)) <= max_leaves]
-    shapes.sort(key=lambda s: (leaf_count(corolla_of(s)), s.kind, s.params))
+    shapes = sorted(shapes_up_to(max_leaves), key=lambda s: (
+        leaf_count(corolla_of(s)), s.kind, s.params))
     for shape in shapes:
         c = corolla_of(shape)
         defect = coassoc_defect_c(c_unit(c))

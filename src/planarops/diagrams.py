@@ -179,11 +179,18 @@ def tree_corolla(n):
     return tree_diagram(ThinTree((LEAF,) * n))
 
 
+def _check_jk(j, k):
+    if j < 0 or k < 0:
+        raise DiagramError("shape parameters must be nonnegative")
+
+
 def module_corolla(j, k):
+    _check_jk(j, k)
     return module_diagram((ModuleVertex((LEAF,) * j, (LEAF,) * k),))
 
 
 def inner_corolla(j, k):
+    _check_jk(j, k)
     return inner_diagram((), (LEAF,) * j, (), (LEAF,) * k)
 
 
@@ -371,6 +378,24 @@ def corolla_of(shape):
     return inner_corolla(*shape.params)
 
 
+def shapes_up_to(max_leaves, kinds=(TREE, MODULE, INNER)):
+    """Every shape class with at most `max_leaves` leaves: trees, then
+    module and inner classes by total arity."""
+    out = []
+    if TREE in kinds:
+        for n in range(2, max_leaves + 1):
+            out.append(ShapeClass(TREE, (n,)))
+    if MODULE in kinds:
+        for total in range(1, max_leaves):
+            for j in range(total + 1):
+                out.append(ShapeClass(MODULE, (j, total - j)))
+    if INNER in kinds:
+        for total in range(0, max_leaves - 1):
+            for j in range(total + 1):
+                out.append(ShapeClass(INNER, (j, total - j)))
+    return [s for s in out if leaf_count(corolla_of(s)) <= max_leaves]
+
+
 def root_color(d):
     return {TREE: THIN, MODULE: THICK, INNER: EMPTY}[d.kind]
 
@@ -553,47 +578,91 @@ def edges(d):
 
 
 # ---------------------------------------------------------------------------
-# contraction
+# rebuilding along a path
 
-def _thin_replace_at(t, path, children):
+def _thin_at(t, path):
+    for i in path:
+        t = t.children[i]
+    return t
+
+
+def _thin_replace_at(t, path, sub):
+    """`t` with its subtree at `path` replaced by `sub`."""
     if not path:
-        return ThinTree(children)
+        return sub
     i = path[0]
     cs = list(t.children)
-    cs[i] = _thin_replace_at(cs[i], path[1:], children)
+    cs[i] = _thin_replace_at(cs[i], path[1:], sub)
     return ThinTree(tuple(cs))
-
-
-def _thin_contract(t, path):
-    # collapse the edge above the vertex at `path` (path nonempty)
-    parent = t
-    for i in path[:-1]:
-        parent = parent.children[i]
-    i = path[-1]
-    child = parent.children[i]
-    merged = parent.children[:i] + child.children + parent.children[i + 1:]
-    return _thin_replace_at(t, path[:-1], merged)
 
 
 def _forest_splice(forest, i, pieces):
     return forest[:i] + tuple(pieces) + forest[i + 1:]
 
 
+def _with_forest(stack, vi, side, forest):
+    """`stack` with the `side` ("L" or "R") forest of vertex vi replaced."""
+    v = stack[vi]
+    nv = (ModuleVertex(forest, v.right) if side == "L"
+          else ModuleVertex(v.left, forest))
+    return stack[:vi] + (nv,) + stack[vi + 1:]
+
+
+_PART = {"la": 0, "up": 1, "ra": 2, "dn": 3}
+
+
+def _part(inn, tag):
+    """The left arm, upper forest, right arm or lower forest of `inn`."""
+    return (inn.left_arm, inn.up, inn.right_arm, inn.down)[_PART[tag]]
+
+
+def _with_part(inn, tag, value):
+    parts = [inn.left_arm, inn.up, inn.right_arm, inn.down]
+    parts[_PART[tag]] = value
+    return inner_diagram(*parts)
+
+
+def _replace_forest(d, addr, fn):
+    """Rebuild `d` with the thin tree t named by the head of `addr` replaced
+    by the trees fn(t, path), where path is the rest of `addr` below t.
+
+    `addr` is a leaf address or the prefix of a thin edge location.  A tree
+    diagram counts as a forest of one tree; there fn must return one tree.
+    """
+    if d.kind == TREE:
+        (t,) = fn(d.payload, addr[1:])
+        return tree_diagram(t)
+    if d.kind == MODULE:
+        return module_diagram(_replace_in_stack(d.payload, addr, fn))
+    inn, tag = d.payload, addr[0]
+    if tag in ("la", "ra"):
+        return _with_part(inn, tag,
+                          _replace_in_stack(_part(inn, tag), addr[1:], fn))
+    forest, ti = _part(inn, tag), addr[1]
+    return _with_part(inn, tag,
+                      _forest_splice(forest, ti, fn(forest[ti], addr[2:])))
+
+
+def _replace_in_stack(stack, addr, fn):
+    side, vi, ti = addr[:3]
+    forest = stack[vi].left if side == "L" else stack[vi].right
+    return _with_forest(stack, vi, side,
+                        _forest_splice(forest, ti, fn(forest[ti], addr[3:])))
+
+
+# ---------------------------------------------------------------------------
+# contraction
+
+def _thin_contract(t, path):
+    # collapse the edge above the vertex at `path` (path nonempty)
+    parent, i = _thin_at(t, path[:-1]), path[-1]
+    merged = (parent.children[:i] + parent.children[i].children
+              + parent.children[i + 1:])
+    return _thin_replace_at(t, path[:-1], ThinTree(merged))
+
+
 def _merge_vertices(lower, upper):
     return ModuleVertex(lower.left + upper.left, upper.right + lower.right)
-
-
-def _stack_contract_thin(stack, side, vi, ti, path):
-    v = stack[vi]
-    forest = v.left if side == "L" else v.right
-    if path:
-        new_forest = _forest_splice(forest, ti,
-                                    (_thin_contract(forest[ti], path),))
-    else:
-        new_forest = _forest_splice(forest, ti, forest[ti].children)
-    nv = (ModuleVertex(new_forest, v.right) if side == "L"
-          else ModuleVertex(v.left, new_forest))
-    return stack[:vi] + (nv,) + stack[vi + 1:]
 
 
 def _stack_merge(stack, i):
@@ -606,58 +675,29 @@ def contract(d, key):
     loc = edge_locs(d).get(key)
     if loc is None:
         raise DiagramError("unknown edge %s on %s" % (sorted(key), fmt(d)))
-    if d.kind == TREE:
-        return tree_diagram(_thin_contract(d.payload, loc[1][1:]))
-    if d.kind == MODULE:
-        if loc[0] == "mthick":
-            return module_diagram(_stack_merge(d.payload, loc[1]))
-        side, vi, ti = loc[1][0], loc[1][1], loc[1][2]
-        return module_diagram(
-            _stack_contract_thin(d.payload, side, vi, ti, loc[1][3:]))
-    inn = d.payload
-    if loc[0] in ("la_thick", "ra_thick"):
-        arm_tag, i = loc[0][:2], loc[1]
-        stack = inn.left_arm if arm_tag == "la" else inn.right_arm
-        if i > 0:
-            return _with_arm(inn, arm_tag, _stack_merge(stack, i))
-        v0, rest = stack[0], stack[1:]
-        if arm_tag == "la":
-            return inner_diagram(rest, v0.right + inn.up, inn.right_arm,
-                                 tuple(reversed(v0.left)) + inn.down)
-        return inner_diagram(inn.left_arm, inn.up + v0.left, rest,
-                             inn.down + tuple(reversed(v0.right)))
-    prefix = loc[1]
-    if prefix[0] in ("la", "ra"):
-        arm_tag = prefix[0]
-        stack = inn.left_arm if arm_tag == "la" else inn.right_arm
-        new_stack = _stack_contract_thin(stack, prefix[1], prefix[2],
-                                         prefix[3], prefix[4:])
-        return _with_arm(inn, arm_tag, new_stack)
-    tag, ti, path = prefix[0], prefix[1], prefix[2:]
-    forest = inn.up if tag == "up" else inn.down
-    if path:
-        new_forest = _forest_splice(forest, ti,
-                                    (_thin_contract(forest[ti], path),))
-    elif tag == "up":
-        new_forest = _forest_splice(forest, ti, forest[ti].children)
-    else:
-        new_forest = _forest_splice(forest, ti,
-                                    tuple(reversed(forest[ti].children)))
-    if tag == "up":
-        return inner_diagram(inn.left_arm, new_forest, inn.right_arm, inn.down)
-    return inner_diagram(inn.left_arm, inn.up, inn.right_arm, new_forest)
+    if loc[0] == "thin":
+        # a forest root dissolves into its forest; lower forests are stored
+        # as walked, so their children join in reverse
+        reverse = loc[1][0] == "dn"
 
+        def collapse(t, path):
+            if path:
+                return (_thin_contract(t, path),)
+            return tuple(reversed(t.children)) if reverse else t.children
 
-def _with_arm(inn, arm_tag, stack):
-    if arm_tag == "la":
-        return inner_diagram(stack, inn.up, inn.right_arm, inn.down)
-    return inner_diagram(inn.left_arm, inn.up, stack, inn.down)
-
-
-def contract_with_map(d, key):
-    """Spec surface: returns (D/e, old key -> new key map for other edges)."""
-    d2 = contract(d, key)
-    return d2, {k: k for k in edge_locs(d) if k != key}
+        return _replace_forest(d, loc[1], collapse)
+    if loc[0] == "mthick":
+        return module_diagram(_stack_merge(d.payload, loc[1]))
+    inn, tag, i = d.payload, loc[0][:2], loc[1]
+    stack = _part(inn, tag)
+    if i > 0:
+        return _with_part(inn, tag, _stack_merge(stack, i))
+    v0, rest = stack[0], stack[1:]
+    if tag == "la":
+        return inner_diagram(rest, v0.right + inn.up, inn.right_arm,
+                             tuple(reversed(v0.left)) + inn.down)
+    return inner_diagram(inn.left_arm, inn.up + v0.left, rest,
+                         inn.down + tuple(reversed(v0.right)))
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +712,7 @@ def contract_with_map(d, key):
 
 def _thin_expansions_at(t, path, build):
     # groupings of consecutive child runs at the vertex `t[path]`
-    sub = t
-    for i in path:
-        sub = sub.children[i]
+    sub = _thin_at(t, path)
     out = []
     r = len(sub.children)
     for a in range(r):
@@ -682,7 +720,7 @@ def _thin_expansions_at(t, path, build):
             if b - a == r:
                 continue   # would leave this vertex with a single child
             grouped = sub.children[:a] + (ThinTree(sub.children[a:b]),) + sub.children[b:]
-            out.append((build(_thin_replace_at(t, path, grouped)), "group"))
+            out.append((build(_thin_replace_at(t, path, ThinTree(grouped))), "group"))
     return out
 
 
@@ -745,9 +783,7 @@ def _stack_expansions(stack, rebuild):
             out.append((rebuild(new_stack), ("split",) + ab))
         for side, forest in (("L", v.left), ("R", v.right)):
             def rebuild_forest(nf, vi=vi, side=side):
-                nv = (ModuleVertex(nf, stack[vi].right) if side == "L"
-                      else ModuleVertex(stack[vi].left, nf))
-                return rebuild(stack[:vi] + (nv,) + stack[vi + 1:])
+                return rebuild(_with_forest(stack, vi, side, nf))
             out.extend(_forest_group_expansions(forest, rebuild_forest))
             for fi in range(len(forest)):
                 out.extend(_tree_in_forest_expansions(forest, fi, rebuild_forest))
@@ -789,17 +825,14 @@ def _expansions_tagged(d):
     else:
         inn = d.payload
         out.extend(_central_splits(inn))
-        for arm_tag in ("la", "ra"):
-            stack = inn.left_arm if arm_tag == "la" else inn.right_arm
+        for tag in ("la", "ra"):
             out.extend(_stack_expansions(
-                stack, lambda ns, at=arm_tag: _with_arm(inn, at, ns)))
+                _part(inn, tag), lambda ns, tag=tag: _with_part(inn, tag, ns)))
         for tag in ("up", "dn"):
-            forest = inn.up if tag == "up" else inn.down
+            forest = _part(inn, tag)
 
             def rebuild_forest(nf, tag=tag):
-                if tag == "up":
-                    return inner_diagram(inn.left_arm, nf, inn.right_arm, inn.down)
-                return inner_diagram(inn.left_arm, inn.up, inn.right_arm, nf)
+                return _with_part(inn, tag, nf)
 
             out.extend(_forest_group_expansions(forest, rebuild_forest,
                                                 reverse=(tag == "dn")))
@@ -851,54 +884,16 @@ def _splice_structure(d, pos, e):
     if leaf_color(addr) == THIN:
         if e.kind != TREE:
             raise ColorMismatch("thin leaf takes a tree")
-        repl = e.payload
-        if d.kind == TREE:
-            return tree_diagram(_thin_replace_at(d.payload, addr[1:],
-                                                 repl.children))
-        if d.kind == MODULE:
-            side, vi, ti = addr[0], addr[1], addr[2]
-            stack = d.payload
-            v = stack[vi]
-            forest = v.left if side == "L" else v.right
-            nf = _forest_splice(forest, ti,
-                                (_thin_replace_at(forest[ti], addr[3:],
-                                                  repl.children),))
-            nv = (ModuleVertex(nf, v.right) if side == "L"
-                  else ModuleVertex(v.left, nf))
-            return module_diagram(stack[:vi] + (nv,) + stack[vi + 1:])
-        inn = d.payload
-        if addr[0] in ("la", "ra"):
-            arm_tag, side, vi, ti = addr[0], addr[1], addr[2], addr[3]
-            stack = inn.left_arm if arm_tag == "la" else inn.right_arm
-            v = stack[vi]
-            forest = v.left if side == "L" else v.right
-            nf = _forest_splice(forest, ti,
-                                (_thin_replace_at(forest[ti], addr[4:],
-                                                  repl.children),))
-            nv = (ModuleVertex(nf, v.right) if side == "L"
-                  else ModuleVertex(v.left, nf))
-            return _with_arm(inn, arm_tag,
-                             stack[:vi] + (nv,) + stack[vi + 1:])
-        tag, ti = addr[0], addr[1]
-        forest = inn.up if tag == "up" else inn.down
-        nf = _forest_splice(forest, ti,
-                            (_thin_replace_at(forest[ti], addr[2:],
-                                              repl.children),))
-        if tag == "up":
-            return inner_diagram(inn.left_arm, nf, inn.right_arm, inn.down)
-        return inner_diagram(inn.left_arm, inn.up, inn.right_arm, nf)
+        return _replace_forest(
+            d, addr, lambda t, path: (_thin_replace_at(t, path, e.payload),))
     # thick leaf
     if e.kind != MODULE:
         raise ColorMismatch("thick leaf takes a module tree")
     if d.kind == MODULE:
         return module_diagram(d.payload + e.payload)
     if d.kind == INNER:
-        inn = d.payload
-        if addr == ("la", "thick"):
-            return inner_diagram(inn.left_arm + e.payload, inn.up,
-                                 inn.right_arm, inn.down)
-        return inner_diagram(inn.left_arm, inn.up,
-                             inn.right_arm + e.payload, inn.down)
+        tag = addr[0]
+        return _with_part(d.payload, tag, _part(d.payload, tag) + e.payload)
     raise ColorMismatch("tree diagrams have no thick leaves")
 
 
@@ -941,6 +936,27 @@ def graft(d, pos, e):
                  host_edges, guest_edges, rot)
 
 
+def labeled_graft(x, i, y):
+    """Graft labeled generator `y` into input `i` of `x`.
+
+    Both carry a `diagram` and a labeling `perm` (input j attaches at
+    canonical position perm[j-1]).  Returns (Graft, labeling of the
+    composite), or None when the root of `y` does not fit that leaf.
+    """
+    k = leaf_count(x.diagram)
+    if not 1 <= i <= k:
+        raise DiagramError("input index out of range")
+    p = x.perm[i - 1]
+    if (y.diagram.kind == INNER
+            or canonical_colors(x.diagram)[p - 1] != root_color(y.diagram)):
+        return None
+    g = graft(x.diagram, p, y.diagram)
+    perm = ([g.host_pos[q] for q in x.perm[:i - 1]]
+            + [g.guest_pos[q] for q in y.perm]
+            + [g.host_pos[q] for q in x.perm[i:]])
+    return g, tuple(perm)
+
+
 @dataclass(frozen=True)
 class Cut:
     host: Diagram         # diagram with the outward part replaced by a leaf
@@ -953,67 +969,22 @@ def cut(d, key):
     """Sever the internal edge `key`; inverse of `graft` at that edge."""
     loc = edge_locs(d)[key]
     if loc[0] == "thin":
-        prefix = loc[1]
-        sub = d
-        if d.kind == TREE:
-            sub = d.payload
-            for i in prefix[1:]:
-                sub = sub.children[i]
-            host = tree_diagram(_thin_set_leaf(d.payload, prefix[1:]))
-        elif d.kind == MODULE:
-            side, vi, ti, path = prefix[0], prefix[1], prefix[2], prefix[3:]
-            stack = d.payload
-            forest = stack[vi].left if side == "L" else stack[vi].right
-            sub = forest[ti]
-            for i in path:
-                sub = sub.children[i]
-            nf = _forest_splice(forest, ti,
-                                (_thin_set_leaf(forest[ti], path),))
-            v = stack[vi]
-            nv = (ModuleVertex(nf, v.right) if side == "L"
-                  else ModuleVertex(v.left, nf))
-            host = module_diagram(stack[:vi] + (nv,) + stack[vi + 1:])
-        else:
-            inn = d.payload
-            if prefix[0] in ("la", "ra"):
-                arm_tag, side, vi, ti = prefix[0], prefix[1], prefix[2], prefix[3]
-                path = prefix[4:]
-                stack = inn.left_arm if arm_tag == "la" else inn.right_arm
-                forest = stack[vi].left if side == "L" else stack[vi].right
-                sub = forest[ti]
-                for i in path:
-                    sub = sub.children[i]
-                nf = _forest_splice(forest, ti,
-                                    (_thin_set_leaf(forest[ti], path),))
-                v = stack[vi]
-                nv = (ModuleVertex(nf, v.right) if side == "L"
-                      else ModuleVertex(v.left, nf))
-                host = _with_arm(inn, arm_tag,
-                                 stack[:vi] + (nv,) + stack[vi + 1:])
-            else:
-                tag, ti, path = prefix[0], prefix[1], prefix[2:]
-                forest = inn.up if tag == "up" else inn.down
-                sub = forest[ti]
-                for i in path:
-                    sub = sub.children[i]
-                nf = _forest_splice(forest, ti,
-                                    (_thin_set_leaf(forest[ti], path),))
-                if tag == "up":
-                    host = inner_diagram(inn.left_arm, nf, inn.right_arm,
-                                         inn.down)
-                else:
-                    host = inner_diagram(inn.left_arm, inn.up, inn.right_arm,
-                                         nf)
-        outer = tree_diagram(sub)
+        severed = []
+
+        def sever(t, path):
+            severed.append(_thin_at(t, path))
+            return (_thin_replace_at(t, path, LEAF),)
+
+        host = _replace_forest(d, loc[1], sever)
+        outer = tree_diagram(severed[0])
     elif loc[0] == "mthick":
         i = loc[1]
         host = module_diagram(d.payload[:i])
         outer = module_diagram(d.payload[i:])
     else:
-        arm_tag, i = loc[0][:2], loc[1]
-        inn = d.payload
-        stack = inn.left_arm if arm_tag == "la" else inn.right_arm
-        host = _with_arm(inn, arm_tag, stack[:i])
+        inn, tag, i = d.payload, loc[0][:2], loc[1]
+        stack = _part(inn, tag)
+        host = _with_part(inn, tag, stack[:i])
         outer = module_diagram(stack[i:])
     pos = min(key) if loc[0] != "la_thick" else 1
     g = graft(host, pos, outer)
@@ -1023,26 +994,15 @@ def cut(d, key):
     return Cut(host, pos, outer, g)
 
 
-def _thin_set_leaf(t, path):
-    if not path:
-        return LEAF
-    i = path[0]
-    cs = list(t.children)
-    cs[i] = _thin_set_leaf(cs[i], path[1:])
-    return ThinTree(tuple(cs))
-
-
 # ---------------------------------------------------------------------------
 # enumeration and rotation
 
 @lru_cache(maxsize=None)
 def enumerate_class(shape, deg):
     """All diagrams in `shape` of the given degree, lexicographically ordered."""
-    if deg < 0:
-        return ()
     c = corolla_of(shape)
     top = degree(c)
-    if deg > top:
+    if not 0 <= deg <= top:
         return ()
     layer = {c}
     for _ in range(top - deg):

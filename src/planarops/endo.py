@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import product
 
 from .diagrams import MODULE, TREE, shape_class
-from .operad_c import decompose_corollas, eval_expr
+from .formal import evaluate
+from .operad_c import decompose_corollas
 from . import perms
 
 
@@ -111,7 +112,7 @@ class MultiMap:
     def support(self):
         return {(args, o) for args, o, _c in self.items()}
 
-    def scaled(self, n):
+    def scale(self, n):
         if self.out == "scalar":
             return MultiMap(self.module, self.arity, self.out, self.degree,
                             {a: v * n for a, v in self.entries.items()})
@@ -131,7 +132,7 @@ class MultiMap:
         return out
 
     def minus(self, other):
-        return self.plus(other.scaled(-1))
+        return self.plus(other.scale(-1))
 
 
 def zero_map(module, arity, out, degree):
@@ -237,7 +238,7 @@ def commutator(d, f):
                     if src == o:
                         for o2, dc in drow.items():
                             lhs._add(args, {o2: c * dc})
-    return lhs.plus(precompose_differential(f, d).scaled(-((-1) ** f.degree)))
+    return lhs.plus(precompose_differential(f, d).scale(-((-1) ** f.degree)))
 
 
 def _all_tuples(module, arity):
@@ -292,37 +293,17 @@ class StructureSet:
         return self
 
 
-class EndOps:
-    """Evaluation target: the endomorphism operad of a structure set."""
-
-    def __init__(self, structures):
-        self.structures = structures
-
-    def corolla(self, diagram):
-        return self.structures.corolla_map(diagram)
-
-    @staticmethod
-    def compose(f, i, g):
-        return compose_at(f, i, g)
-
-    @staticmethod
-    def act(sigma, f):
-        return sigma_sharp(f, sigma)
-
-    @staticmethod
-    def scale(n, f):
-        return f.scaled(n)
-
-
 def eval_generator(gen, structures):
-    return eval_expr(decompose_corollas(gen), EndOps(structures))
+    """The image of a generator in the endomorphism operad."""
+    return evaluate(decompose_corollas(gen), structures.corolla_map,
+                    compose_at, lambda sigma, f: sigma_sharp(f, sigma))
 
 
 def eval_element(x, structures):
     """Linear extension of the operad map over a formal sum."""
     out = None
     for gen, coef in x.terms.items():
-        val = eval_generator(gen, structures).scaled(coef)
+        val = eval_generator(gen, structures).scale(coef)
         out = val if out is None else out.plus(val)
     return out
 
@@ -347,7 +328,7 @@ def residual_a_infinity(structures, k):
             continue
         for i in range(1, ell + 1):
             term = compose_at(s.mu_map(ell), i, s.mu_map(j))
-            total = total.minus(term.scaled((-1) ** (i * (j + 1) + j * ell)))
+            total = total.minus(term.scale((-1) ** (i * (j + 1) + j * ell)))
     return total
 
 
@@ -371,7 +352,7 @@ def residual_bimodule(structures, kp, kpp):
                 q = s.mu_map(j)
                 outer = s.lam_map(kp, kpp - j + 1)
             term = compose_at(outer, i, q)
-            total = total.minus(term.scaled((-1) ** (i * (j + 1) + j * ell)))
+            total = total.minus(term.scale((-1) ** (i * (j + 1) + j * ell)))
     return total
 
 
@@ -393,7 +374,7 @@ def residual_inner(structures, kp, kpp):
             for _ in range(jp):
                 term = rotate_last_to_front(term)
             sign = (-1) ** ((j + 1) + j * ell + jp * (jpp + ell))
-            total = total.minus(term.scaled(sign))
+            total = total.minus(term.scale(sign))
     # compositions away from the first slot
     for j in range(2, k):
         ell = k - j + 1
@@ -409,7 +390,7 @@ def residual_inner(structures, kp, kpp):
                 q = s.mu_map(j)
                 outer = s.rho_map(kp, kpp - j + 1)
             term = compose_at(outer, i, q)
-            total = total.minus(term.scaled((-1) ** (i * (j + 1) + j * ell)))
+            total = total.minus(term.scale((-1) ** (i * (j + 1) + j * ell)))
     return total
 
 

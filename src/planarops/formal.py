@@ -1,4 +1,17 @@
-"""Integer formal sums over hashable basis elements."""
+"""Integer formal sums over hashable basis elements, and the evaluation of
+operadic expressions.
+
+An expression is ``(coef, node)`` with node one of
+
+    ("leaf", diagram)
+    ("compose", expr, i, expr)
+    ("act", sigma, expr)
+
+Decompositions of generators are written in this form.  Evaluating one
+transports it into any target that supplies a value for each leaf, an
+``o_i`` composition and an action, provided the transport is multiplicative
+and intertwines the actions.
+"""
 
 from __future__ import annotations
 
@@ -89,3 +102,28 @@ class FormalSum:
 
 def unit(key, coef=1):
     return FormalSum(((key, coef),))
+
+
+def bilinear(x, y, fn, coef=1, out=None):
+    """Add coef * cx * cy * fn(kx, ky) over every pair of terms of x and y
+    to `out` (a new sum by default) and return it; fn gives a FormalSum."""
+    out = FormalSum() if out is None else out
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
+            c = coef * cx * cy
+            for k, cz in fn(kx, ky).terms.items():
+                out.add_term(k, c * cz)
+    return out
+
+
+def evaluate(expr, leaf, compose, act):
+    """Value of an expression; every value must have a ``scale`` method."""
+    coef, node = expr
+    if node[0] == "leaf":
+        val = leaf(node[1])
+    elif node[0] == "compose":
+        val = compose(evaluate(node[1], leaf, compose, act), node[2],
+                      evaluate(node[3], leaf, compose, act))
+    else:
+        val = act(node[1], evaluate(node[2], leaf, compose, act))
+    return val.scale(coef) if coef != 1 else val

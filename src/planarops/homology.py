@@ -137,24 +137,25 @@ def _boundary_rows(gens_low, gens_high, boundary):
     return matrix_rows
 
 
+def cell_generators(shape, which):
+    """The cells of the chain ("c") or cubical ("q") complex as generators,
+    by degree, and the boundary of that complex."""
+    if which == "c":
+        return ([[c_unit(cell).support().pop() for cell in layer]
+                 for layer in c_cells(shape)], boundary_c)
+    return ([[q_unit(d, metric=m).support().pop() for d, m in layer]
+             for layer in q_cells(shape)], boundary_q)
+
+
 def homology_report(shape, which, max_leaves_cap=8):
     n = leaf_count(corolla_of(shape))
     if n > max_leaves_cap:
         raise ValueError("shape class exceeds the size cap")
-    if which == "c":
-        layers = c_cells(shape)
-        keyed = [[c_unit(cell).support().pop() for cell in layer]
-                 for layer in layers]
-        bnd = boundary_c
-    else:
-        layers = q_cells(shape)
-        keyed = [[q_unit(d, metric=m).support().pop() for d, m in layer]
-                 for layer in layers]
-        bnd = boundary_q
-    f_vector = tuple(len(layer) for layer in layers)
+    keyed, bnd = cell_generators(shape, which)
+    f_vector = tuple(len(layer) for layer in keyed)
     euler = sum((-1) ** d * f for d, f in enumerate(f_vector))
     ranks = [0]
-    for d in range(1, len(layers)):
+    for d in range(1, len(keyed)):
         ranks.append(sparse_rank(_boundary_rows(keyed[d - 1], keyed[d], bnd)))
     ranks.append(0)
     betti = tuple(f_vector[d] - ranks[d] - ranks[d + 1]

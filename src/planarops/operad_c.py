@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from . import perms
 from .diagrams import (
-    ColorMismatch, DiagramError, canonical_colors, cut, degree, edges,
-    expansions, fmt, graft, is_corolla, leaf_count, root_color,
+    DiagramError, cut, degree, edges, expansions, fmt, is_corolla,
+    labeled_graft, leaf_count,
 )
-from .formal import FormalSum, unit
+from .formal import FormalSum, bilinear, unit
 from .orientations import Orientation, orient, wedge
 
 
@@ -77,85 +77,33 @@ def sym_action(sigma, x):
 
 def compose_c(x, i, y):
     """Composition of single generators; returns a (possibly zero) sum."""
-    k, l = leaf_count(x.diagram), leaf_count(y.diagram)
-    if not 1 <= i <= k:
-        raise DiagramError("input index out of range")
-    p = x.perm[i - 1]
-    if (y.diagram.kind == "inner"
-            or canonical_colors(x.diagram)[p - 1] != root_color(y.diagram)):
+    grafted = labeled_graft(x, i, y)
+    if grafted is None:
         return FormalSum()
-    g = graft(x.diagram, p, y.diagram)
-    new_perm = []
-    for j in range(1, k + l):
-        if j < i:
-            new_perm.append(g.host_pos[x.perm[j - 1]])
-        elif j < i + l:
-            new_perm.append(g.guest_pos[y.perm[j - i]])
-        else:
-            new_perm.append(g.host_pos[x.perm[j - l]])
+    g, perm = grafted
     o = orient([g.host_edges[e] for e in x.keys]
                + [g.guest_edges[e] for e in y.keys] + [g.new_edge])
+    k, l = leaf_count(x.diagram), leaf_count(y.diagram)
     eps = i * (l + 1) + k * degree(y.diagram)
-    return unit(CGenerator(g.diagram, tuple(new_perm), o.keys),
-                (-1) ** eps * o.sign)
+    return unit(CGenerator(g.diagram, perm, o.keys), (-1) ** eps * o.sign)
 
 
 def compose_elements(x, i, y):
-    out = FormalSum()
-    for gx, cx in x.terms.items():
-        for gy, cy in y.terms.items():
-            for gz, cz in compose_c(gx, i, gy).terms.items():
-                out.add_term(gz, cx * cy * cz)
-    return out
-
-
-class COps:
-    """Evaluation target for decompositions: the operad itself."""
-
-    @staticmethod
-    def corolla(diagram):
-        return c_unit(diagram)
-
-    @staticmethod
-    def compose(x, i, y):
-        return compose_elements(x, i, y)
-
-    @staticmethod
-    def act(sigma, x):
-        return sym_action(sigma, x)
-
-    @staticmethod
-    def scale(n, x):
-        return x.scale(n)
+    return bilinear(x, y, lambda a, b: compose_c(a, i, b))
 
 
 # ---------------------------------------------------------------------------
 # corolla decomposition
 #
-# Expressions are (coef, node) with node one of
-#   ("corolla", diagram)
-#   ("compose", expr, i, expr)
-#   ("act", sigma, expr)
-# Evaluating with COps reproduces the generator; evaluating with other ops
-# transports it along a map that is multiplicative and intertwines the
-# actions.
-
-def eval_expr(expr, ops):
-    coef, node = expr
-    if node[0] == "corolla":
-        val = ops.corolla(node[1])
-    elif node[0] == "compose":
-        val = ops.compose(eval_expr(node[1], ops), node[2],
-                          eval_expr(node[3], ops))
-    else:
-        val = ops.act(node[1], eval_expr(node[2], ops))
-    return ops.scale(coef, val) if coef != 1 else val
+# decompose_corollas writes a generator as an expression (see formal.py)
+# whose leaves are corollas; evaluating it with c_unit, compose_elements and
+# sym_action gives the generator back.
 
 
 def _decompose_canonical(diagram, keys):
     """Expression for (diagram, identity labeling, +sorted orientation)."""
     if is_corolla(diagram):
-        return (1, ("corolla", diagram))
+        return (1, ("leaf", diagram))
     e = edges(diagram)[0]
     c = cut(diagram, e)
     sub1 = _decompose_canonical(c.host, tuple(sorted(edges(c.host), key=sorted)))

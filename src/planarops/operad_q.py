@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from . import perms
 from .diagrams import (
-    DiagramError, canonical_colors, contract, cut, edges, fmt, graft,
-    leaf_count, root_color,
+    DiagramError, contract, cut, edges, fmt, labeled_graft, leaf_count,
 )
-from .formal import FormalSum, unit
+from .formal import FormalSum, bilinear, unit
 from .orientations import orient
 
 
@@ -81,79 +80,32 @@ def q_action(sigma, x):
 
 def compose_q(x, i, y):
     """Sign-free composition; the new edge is non-metric."""
-    k, l = leaf_count(x.diagram), leaf_count(y.diagram)
-    if not 1 <= i <= k:
-        raise DiagramError("input index out of range")
-    p = x.perm[i - 1]
-    if (y.diagram.kind == "inner"
-            or canonical_colors(x.diagram)[p - 1] != root_color(y.diagram)):
+    grafted = labeled_graft(x, i, y)
+    if grafted is None:
         return FormalSum()
-    g = graft(x.diagram, p, y.diagram)
-    new_perm = []
-    for j in range(1, k + l):
-        if j < i:
-            new_perm.append(g.host_pos[x.perm[j - 1]])
-        elif j < i + l:
-            new_perm.append(g.guest_pos[y.perm[j - i]])
-        else:
-            new_perm.append(g.host_pos[x.perm[j - l]])
+    g, perm = grafted
     o = orient([g.host_edges[e] for e in x.metric]
                + [g.guest_edges[e] for e in y.metric])
-    return unit(QGenerator(g.diagram, tuple(new_perm), o.keys), o.sign)
+    return unit(QGenerator(g.diagram, perm, o.keys), o.sign)
 
 
 def compose_elements(x, i, y):
-    out = FormalSum()
-    for gx, cx in x.terms.items():
-        for gy, cy in y.terms.items():
-            for gz, cz in compose_q(gx, i, gy).terms.items():
-                out.add_term(gz, cx * cy * cz)
-    return out
-
-
-class QOps:
-    """Evaluation target whose action drops the sign character."""
-
-    @staticmethod
-    def corolla(diagram):
-        return q_unit(diagram, metric=())
-
-    @staticmethod
-    def compose(x, i, y):
-        return compose_elements(x, i, y)
-
-    @staticmethod
-    def act(sigma, x):
-        return q_action(sigma, x)
-
-    @staticmethod
-    def scale(n, x):
-        return x.scale(n)
+    return bilinear(x, y, lambda a, b: compose_q(a, i, b))
 
 
 # ---------------------------------------------------------------------------
 # splitting at non-metric edges
 #
-# Same expression format as operad_c; leaves are ("fullmetric", diagram)
-# standing for the fully metric generator with identity labeling and
-# +sorted orientation.
-
-def eval_nonmetric_expr(expr, ops):
-    coef, node = expr
-    if node[0] == "fullmetric":
-        val = ops.fullmetric(node[1])
-    elif node[0] == "compose":
-        val = ops.compose(eval_nonmetric_expr(node[1], ops), node[2],
-                          eval_nonmetric_expr(node[3], ops))
-    else:
-        val = ops.act(node[1], eval_nonmetric_expr(node[2], ops))
-    return ops.scale(coef, val) if coef != 1 else val
+# decompose_nonmetric writes a generator as an expression (see formal.py)
+# whose leaves stand for fully metric generators with identity labeling and
+# +sorted orientation; evaluating it with q_unit, compose_elements and
+# q_action gives the generator back.
 
 
 def _decompose_metric_canonical(diagram, metric):
     non = [e for e in sorted(set(edges(diagram)) - set(metric), key=sorted)]
     if not non:
-        return (1, ("fullmetric", diagram))
+        return (1, ("leaf", diagram))
     e = non[0]
     c = cut(diagram, e)
     g = c.graft
@@ -183,8 +135,3 @@ def decompose_nonmetric(gen):
         return base
     return (1, ("act", gen.perm, base))
 
-
-class QRecomposeOps(QOps):
-    @staticmethod
-    def fullmetric(diagram):
-        return q_unit(diagram)

@@ -96,36 +96,31 @@ def _edge_pair(b, e):
     return move, other, oe, b_small
 
 
-@lru_cache(maxsize=None)
-def covers(b):
-    """All (B', MoveStep) with b < B' an elementary move."""
+def _moves(b, up):
+    """All (B', MoveStep) with b < B' (up) or B' < b (down) a single move."""
     if not is_binary(b):
-        raise DiagramError("covers needs a binary diagram")
+        raise DiagramError("covers and cocovers need a binary diagram")
     out = []
     for e in edges(b):
         move, other, oe, b_small = _edge_pair(b, e)
-        if b_small:
+        if b_small == up:
             bij = tuple(sorted(((k, oe if k == e else k)
                                 for k in edge_locs(b)), key=lambda p: sorted(p[0])))
-            out.append((other, MoveStep(move, e, "up", bij)))
+            out.append((other, MoveStep(move, e, "up" if up else "down", bij)))
     out.sort(key=lambda pair: fmt(pair[0]))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def covers(b):
+    """All (B', MoveStep) with b < B' an elementary move."""
+    return _moves(b, True)
 
 
 @lru_cache(maxsize=None)
 def cocovers(b):
     """All (B', MoveStep) with B' < b an elementary move (step points down)."""
-    if not is_binary(b):
-        raise DiagramError("cocovers needs a binary diagram")
-    out = []
-    for e in edges(b):
-        move, other, oe, b_small = _edge_pair(b, e)
-        if not b_small:
-            bij = tuple(sorted(((k, oe if k == e else k)
-                                for k in edge_locs(b)), key=lambda p: sorted(p[0])))
-            out.append((other, MoveStep(move, e, "down", bij)))
-    out.sort(key=lambda pair: fmt(pair[0]))
-    return tuple(out)
+    return _moves(b, False)
 
 
 @lru_cache(maxsize=None)

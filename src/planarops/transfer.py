@@ -16,14 +16,14 @@ from functools import lru_cache
 from .diagrams import (
     degree, edges, enumerate_class, leaf_count, shape_class,
 )
-from .formal import FormalSum
+from .formal import FormalSum, evaluate
 from .operad_c import (
     compose_elements as compose_c_elements, c_unit, decompose_corollas,
-    eval_expr, sym_action,
+    sym_action,
 )
 from .operad_q import (
-    compose_elements as compose_q_elements, decompose_nonmetric,
-    eval_nonmetric_expr, q_action, q_unit,
+    compose_elements as compose_q_elements, decompose_nonmetric, q_action,
+    q_unit,
 )
 from .orientations import omega_sd, omega_std, orient
 from .tamari import dmax, dmin, leq, positive_edges
@@ -37,21 +37,13 @@ def _q_corolla(diagram):
     return out
 
 
-class _QTarget:
-    corolla = staticmethod(_q_corolla)
-    compose = staticmethod(compose_q_elements)
-    act = staticmethod(q_action)           # the sign character is dropped
-
-    @staticmethod
-    def scale(n, x):
-        return x.scale(n)
-
-
 def q_map(x):
-    """The subdivision quasi-isomorphism, extended linearly."""
+    """The subdivision quasi-isomorphism, extended linearly; the signed
+    action becomes the unsigned one."""
     out = FormalSum()
     for gen, coef in x.terms.items():
-        img = eval_expr(decompose_corollas(gen), _QTarget)
+        img = evaluate(decompose_corollas(gen), _q_corolla,
+                       compose_q_elements, q_action)
         out = out + img.scale(coef)
     return out
 
@@ -72,20 +64,12 @@ def _p_fullmetric(diagram):
     return out
 
 
-class _CTarget:
-    fullmetric = staticmethod(_p_fullmetric)
-    compose = staticmethod(compose_c_elements)
-    act = staticmethod(sym_action)          # the sign character reappears
-
-    @staticmethod
-    def scale(n, x):
-        return x.scale(n)
-
-
 def p_map(x):
-    """The quasi-inverse of q, extended linearly."""
+    """The quasi-inverse of q, extended linearly; the sign character of the
+    action reappears."""
     out = FormalSum()
     for gen, coef in x.terms.items():
-        img = eval_nonmetric_expr(decompose_nonmetric(gen), _CTarget)
+        img = evaluate(decompose_nonmetric(gen), _p_fullmetric,
+                       compose_c_elements, sym_action)
         out = out + img.scale(coef)
     return out

@@ -18,7 +18,7 @@ from . import perms
 from .diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
     enumerate_class, expansions, fmt, inner_corolla, leaf_count,
-    module_corolla, parse, rotate180, shape_class, tree_corolla,
+    module_corolla, parse, rotate180, shape_class, shapes_up_to, tree_corolla,
 )
 from .formal import FormalSum, unit
 from .operad_c import (
@@ -53,22 +53,6 @@ class CheckResult:
         status = "PASS" if self.ok else "FAIL"
         return "%s  %-38s %s  [%.1fs]" % (status, self.name, self.detail,
                                           self.seconds)
-
-
-def shapes_up_to(max_leaves, kinds=(TREE, MODULE, INNER)):
-    out = []
-    if TREE in kinds:
-        for n in range(2, max_leaves + 1):
-            out.append(ShapeClass(TREE, (n,)))
-    if MODULE in kinds:
-        for total in range(1, max_leaves):
-            for j in range(total + 1):
-                out.append(ShapeClass(MODULE, (j, total - j)))
-    if INNER in kinds:
-        for total in range(0, max_leaves - 1):
-            for j in range(total + 1):
-                out.append(ShapeClass(INNER, (j, total - j)))
-    return [s for s in out if leaf_count(corolla_of(s)) <= max_leaves]
 
 
 def class_diagrams(shape):
@@ -461,7 +445,7 @@ def check_endomorphisms(cap):
     """Multiplicativity, fixture chain maps, tensor-product displays, and
     the degree-two pairing homotopy identity."""
     from .endo import (
-        EndOps, check_rho20_identity, commutator, compose_at, eval_element,
+        check_rho20_identity, commutator, compose_at, eval_element,
         eval_generator, load_structures, maps_equal, pair_evaluate,
         tensor_structure,
     )
@@ -587,20 +571,25 @@ CHECKS = [
 ]
 
 
-def run_suite(max_leaves, emit=print):
-    """Run every invariant suite up to the cap; returns the failure count."""
+def run_checks(max_leaves):
+    """Run every invariant suite up to the cap, yielding a CheckResult as
+    each one finishes."""
     if max_leaves < 4:
         raise ValueError("the suite needs a cap of at least 4 leaves")
-    failures = 0
     for name, fn in CHECKS:
         t0 = time.time()
         try:
             ok, detail = fn(max_leaves)
         except Exception as exc:   # a crash is a failure, not an abort
             ok, detail = False, "error: %s" % exc
-        result = CheckResult(name, ok, detail, time.time() - t0)
+        yield CheckResult(name, ok, detail, time.time() - t0)
+
+
+def run_suite(max_leaves, emit=print):
+    """Run every invariant suite up to the cap; returns the failure count."""
+    failures = 0
+    for result in run_checks(max_leaves):
         emit(result.line())
-        if not ok:
-            failures += 1
+        failures += not result.ok
     emit("%d/%d suites passed" % (len(CHECKS) - failures, len(CHECKS)))
     return failures

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from planarops.cli import main, parse_generator, parse_shape
 from planarops.diagrams import INNER, ShapeClass
 
@@ -110,3 +112,35 @@ def test_determinism(capsys):
     one = run(capsys, "qmap", "((* * * *) ; id ; [])")[1]
     two = run(capsys, "qmap", "((* * * *) ; id ; [])")[1]
     assert one == two
+
+
+def test_negative_shape_parameters_are_rejected(capsys):
+    from planarops.diagrams import DiagramError, inner_corolla, module_corolla
+    for make in (module_corolla, inner_corolla):
+        for j, k in ((-1, 2), (2, -1)):
+            with pytest.raises(DiagramError):
+                make(j, k)
+    for argv in (["homology", "I-1,2"], ["homology", "I-1,2", "--q"],
+                 ["enumerate", "M-3,1", "0"], ["enumerate", "M-3,1", "-1"],
+                 ["enumerate", "I0,-2", "0", "--format", "json"]):
+        code, out = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+
+
+def test_missing_fixture_is_an_input_error(capsys):
+    code = main(["tensor-ainf", "/nonexistent", "b", "--arity", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_json(capsys):
+    from planarops.verify import CHECKS
+    code, out = run(capsys, "verify", "--max-leaves", "4", "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert [c["name"] for c in data["checks"]] == [n for n, _fn in CHECKS]
+    for check in data["checks"]:
+        assert set(check) == {"name", "ok", "detail", "seconds"}
+        assert check["ok"] is True and check["seconds"] >= 0
+    assert data["passed"] == len(CHECKS)

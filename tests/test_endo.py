@@ -13,7 +13,7 @@ from planarops.formal import unit
 from planarops.operad_c import boundary_c, c_generator, c_unit, compose_c
 from planarops.diagonal import delta_c
 from planarops.endo import (
-    EndOps, GradedModule, MultiMap, StructureError, StructureSet, commutator,
+    GradedModule, MultiMap, StructureError, StructureSet, commutator,
     compose_at, eval_element, eval_generator, load_structures, maps_equal,
     pair_evaluate, residual_a_infinity, residual_bimodule, residual_inner,
     sigma_sharp, structures_from_dict, tensor_module, tensor_structure,
@@ -79,7 +79,7 @@ def test_one_edge_tree_sign():
         d = tree_diagram(ThinTree(tuple(children)))
         got = eval_generator(c_generator(d)[0], s)
         expected = compose_at(s.mu_map(l), i, s.mu_map(j)) \
-            .scaled((-1) ** (i * (j + 1) + j * l))
+            .scale((-1) ** (i * (j + 1) + j * l))
         assert got == expected, (i, j, l)
 
 
@@ -91,7 +91,6 @@ def test_eval_is_multiplicative_on_random_draws():
     for draw in range(20):
         s = random_structures(rng, (0, rng.choice((-1, 1))), max_mu=4,
                               max_inner=1)
-        ops = EndOps(s)
         for _ in range(6):
             xd = rng.choice(pool)
             yd = rng.choice([p for p in pool if p.kind != INNER])

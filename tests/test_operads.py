@@ -7,14 +7,14 @@ from planarops.diagrams import (
     tree_corolla,
 )
 from planarops import perms
-from planarops.formal import FormalSum, unit
+from planarops.formal import FormalSum, evaluate, unit
 from planarops.operad_c import (
-    CGenerator, COps, boundary_c, c_generator, c_unit, compose_c,
-    compose_elements, decompose_corollas, eval_expr, sym_action,
+    CGenerator, boundary_c, c_generator, c_unit, compose_c,
+    compose_elements, decompose_corollas, sym_action,
 )
 from planarops.operad_q import (
-    QGenerator, QOps, QRecomposeOps, boundary_q, compose_q,
-    decompose_nonmetric, eval_nonmetric_expr, q_action, q_generator, q_unit,
+    QGenerator, boundary_q, compose_q, compose_elements as compose_q_elements,
+    decompose_nonmetric, q_action, q_generator, q_unit,
 )
 
 SMALL_SHAPES = [
@@ -198,7 +198,8 @@ def test_boundary_is_a_derivation():
 
 def test_decompose_left_comb():
     gen = gen_of(parse("((* *) *)"))
-    expr = eval_expr(decompose_corollas(gen), COps)
+    expr = evaluate(decompose_corollas(gen), c_unit, compose_elements,
+                    sym_action)
     assert expr == unit(gen)
 
 
@@ -210,10 +211,12 @@ def test_decompose_roundtrip():
         for deg in range(degree(c) + 1):
             for d in enumerate_class(shape, deg):
                 gen = gen_of(d)
-                assert eval_expr(decompose_corollas(gen), COps) == unit(gen)
+                assert evaluate(decompose_corollas(gen), c_unit,
+                                compose_elements, sym_action) == unit(gen)
                 sigma = tuple(rng.sample(range(1, n + 1), n))
                 gen2 = CGenerator(d, sigma, gen.keys)
-                assert eval_expr(decompose_corollas(gen2), COps) == unit(gen2)
+                assert evaluate(decompose_corollas(gen2), c_unit,
+                                compose_elements, sym_action) == unit(gen2)
 
 
 # --- Q operad ---------------------------------------------------------------
@@ -275,9 +278,10 @@ def test_decompose_nonmetric_roundtrip():
         for x in class_q_generators(shape):
             ((gen, coef),) = list(x)
             expr = decompose_nonmetric(gen)
-            assert eval_nonmetric_expr(expr, QRecomposeOps) == x.scale(coef)
+            assert (evaluate(expr, q_unit, compose_q_elements, q_action)
+                    == x.scale(coef))
             n = leaf_count(gen.diagram)
             sigma = tuple(rng.sample(range(1, n + 1), n))
             gen2 = QGenerator(gen.diagram, sigma, gen.metric)
-            assert (eval_nonmetric_expr(decompose_nonmetric(gen2),
-                                        QRecomposeOps) == unit(gen2))
+            assert (evaluate(decompose_nonmetric(gen2), q_unit,
+                             compose_q_elements, q_action) == unit(gen2))
