@@ -20,7 +20,7 @@ import sys
 
 from . import perms
 from .diagrams import (
-    INNER, MODULE, TREE, DiagramError, ShapeClass, corolla_of, degree, edges,
+    INNER, MODULE, TREE, DiagramError, ShapeClass, degree, edges,
     enumerate_class, fmt, fmt_edge, is_corolla, leaf_count, parse, parse_edge,
     shape_class,
 )
@@ -33,16 +33,21 @@ from .tamari import covers, dmax, dmin, leq
 from .transfer import p_map, q_map
 
 
+def _int(text, message):
+    """int(text), or a DiagramError saying what was expected."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DiagramError(message) from None
+
+
 def parse_shape(text):
     kind = {"T": TREE, "M": MODULE, "I": INNER}.get(text[:1].upper())
-    if kind is None:
-        raise DiagramError("shapes look like T4, M2,3 or I1,2")
-    nums = tuple(int(x) for x in text[1:].split(","))
-    if kind == TREE and len(nums) == 1:
-        return ShapeClass(TREE, nums)
-    if kind != TREE and len(nums) == 2:
-        return ShapeClass(kind, nums)
-    raise DiagramError("shapes look like T4, M2,3 or I1,2")
+    message = "shapes look like T4, M2,3 or I1,2"
+    nums = tuple(_int(x, message) for x in text[1:].split(","))
+    if kind is None or len(nums) != (1 if kind == TREE else 2):
+        raise DiagramError(message)
+    return ShapeClass(kind, nums)
 
 
 def _split_top(text, sep=";"):
@@ -77,7 +82,7 @@ def parse_generator(text, which):
     coef = 1
     if "*" in text and not text.lstrip().startswith("("):
         head, _star, rest = text.partition("*")
-        coef = int(head.strip())
+        coef = _int(head, "a coefficient is an integer, as in 2 * (...)")
         text = rest.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise DiagramError("generator literals are parenthesized")
@@ -86,9 +91,10 @@ def parse_generator(text, which):
     n = leaf_count(diagram)
     perm = perms.identity(n)
     if len(sections) > 1 and sections[1] and sections[1] != "id":
-        perm = tuple(int(tok) for tok in sections[1].split())
+        message = "labeling must be a permutation of 1..%d or id" % n
+        perm = tuple(_int(tok, message) for tok in sections[1].split())
         if sorted(perm) != list(range(1, n + 1)):
-            raise DiagramError("labeling must be a permutation of 1..%d" % n)
+            raise DiagramError(message)
     orientation = None
     if len(sections) > 2 and sections[2]:
         orientation = orient(_parse_keys(sections[2], n), 1)

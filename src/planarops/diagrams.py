@@ -490,7 +490,11 @@ def fmt_edge(key, n):
 
 
 def parse_edge(text, n):
-    a, b = (int(x) for x in text.split("-"))
+    try:
+        a, b = (int(x) for x in text.split("-"))
+    except ValueError:
+        raise DiagramError("edges are leaf intervals like 2-4, not %r"
+                           % text) from None
     out = []
     x = a
     while True:
@@ -528,14 +532,12 @@ def _stack_thin_edges(stack, pos, wrap):
     return out
 
 
-def _arm_outward(stack, i, arm_tag, pos):
-    addrs = []
-    for a in _stack_addresses(stack[i:]):
-        if a == ("thick",):
-            addrs.append((arm_tag, "thick"))
-        else:
-            addrs.append((arm_tag, a[0], a[1] + i) + a[2:])
-    return frozenset(pos[a] for a in addrs)
+def _outward(stack, i, wrap, pos):
+    """Key of the thick edge below vertex i of `stack`, a module diagram
+    (`wrap` empty) or an arm (`wrap` its tag): every leaf above the edge."""
+    return frozenset(
+        pos[wrap + (a if a == ("thick",) else (a[0], a[1] + i) + a[2:])]
+        for a in _stack_addresses(stack[i:]))
 
 
 @lru_cache(maxsize=None)
@@ -549,19 +551,13 @@ def edge_locs(d):
     elif d.kind == MODULE:
         stack = d.payload
         for vi in range(1, len(stack)):
-            addrs = []
-            for a in _stack_addresses(stack[vi:]):
-                if a == ("thick",):
-                    addrs.append(a)
-                else:
-                    addrs.append((a[0], a[1] + vi) + a[2:])
-            out.append((frozenset(pos[a] for a in addrs), ("mthick", vi)))
+            out.append((_outward(stack, vi, (), pos), ("mthick", vi)))
         out.extend(_stack_thin_edges(stack, pos, ()))
     else:
         inn = d.payload
         for arm_tag, stack in (("la", inn.left_arm), ("ra", inn.right_arm)):
             for i in range(len(stack)):
-                out.append((_arm_outward(stack, i, arm_tag, pos),
+                out.append((_outward(stack, i, (arm_tag,), pos),
                             (arm_tag + "_thick", i)))
             out.extend(_stack_thin_edges(stack, pos, (arm_tag,)))
         for tag, forest in (("up", inn.up), ("dn", inn.down)):

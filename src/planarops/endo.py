@@ -3,10 +3,10 @@
 A structure set holds a degree-1 differential d, multiplications mu_k of
 degree 2-k, bimodule maps lambda_{j,k} of degree 1-j-k on the module itself
 (the canonical bimodule), and scalar-valued pairings rho_{j,k} of degree
-rho_degree-(j-k.. the base degree shifted down by j+k).  Corollas evaluate
-to these maps; one-edge diagrams pick up the sign of the corresponding
-structure relation, and in general the evaluation is multiplicative for the
-Koszul composition
+rho_degree-j-k, the base degree rho_degree shifted down by j+k.  Corollas
+evaluate to these maps; one-edge diagrams pick up the sign of the
+corresponding structure relation, and in general the evaluation is
+multiplicative for the Koszul composition
 
     (f o_i g)(a_1, ...) = (-1)^{|g| (|a_1|+...+|a_{i-1}|)} f(..., g(...), ...)
 
@@ -45,11 +45,18 @@ class GradedModule:
         return len(self.names)
 
     def index(self, name):
+        if name not in self.names:
+            raise StructureError("unknown basis element %r" % (name,))
         return self.names.index(name)
 
 
 class MultiMap:
-    """A homogeneous multilinear map with sparse exact-rational entries."""
+    """A homogeneous multilinear map with sparse exact-rational entries.
+
+    `entries` is ``{args: {output: coef}}``: `args` is a tuple of basis
+    indices and each output a basis index of the module.  A scalar-valued
+    map (``out == "scalar"``) has the single output ``None``, of degree 0.
+    """
 
     __slots__ = ("module", "arity", "out", "degree", "entries")
 
@@ -60,36 +67,30 @@ class MultiMap:
         self.degree = degree
         self.entries = {}
         items = entries.items() if isinstance(entries, dict) else entries
-        for args, val in items:
-            self._add(args, val)
+        for args, row in items:
+            self._add(args, row)
 
-    def _add(self, args, val):
+    def _add(self, args, row):
+        """Add the coefficients of `row` ({output: coef}) at `args`."""
         degs = self.module.degrees
-        if self.out == "scalar":
-            if val == 0:
-                return
-            if sum(degs[a] for a in args) + self.degree != 0:
-                raise StructureError("inhomogeneous scalar entry %s" % (args,))
-            new = self.entries.get(args, Fraction(0)) + val
+        base = sum(degs[a] for a in args) + self.degree
+        for o, c in row.items():
+            if c == 0:
+                continue
+            if (o is None) != (self.out == "scalar"):
+                raise StructureError("output %r does not fit a %s map"
+                                     % (o, self.out))
+            if base != (0 if o is None else degs[o]):
+                raise StructureError("inhomogeneous entry %s -> %s"
+                                     % (args, o))
+            target = self.entries.setdefault(args, {})
+            new = target.get(o, Fraction(0)) + c
             if new:
-                self.entries[args] = new
+                target[o] = new
             else:
-                self.entries.pop(args, None)
-        else:
-            for out_i, c in (val.items() if isinstance(val, dict) else val):
-                if c == 0:
-                    continue
-                if sum(degs[a] for a in args) + self.degree != degs[out_i]:
-                    raise StructureError("inhomogeneous entry %s -> %s"
-                                         % (args, out_i))
-                row = self.entries.setdefault(args, {})
-                new = row.get(out_i, Fraction(0)) + c
-                if new:
-                    row[out_i] = new
-                else:
-                    del row[out_i]
-                    if not row:
-                        del self.entries[args]
+                del target[o]
+                if not target:
+                    del self.entries[args]
 
     def __bool__(self):
         return bool(self.entries)
@@ -104,8 +105,6 @@ class MultiMap:
             self.arity, self.out, self.degree, len(self.entries))
 
     def items(self):
-        if self.out == "scalar":
-            return [(args, None, v) for args, v in self.entries.items()]
         return [(args, o, c) for args, row in self.entries.items()
                 for o, c in row.items()]
 
@@ -113,9 +112,6 @@ class MultiMap:
         return {(args, o) for args, o, _c in self.items()}
 
     def scale(self, n):
-        if self.out == "scalar":
-            return MultiMap(self.module, self.arity, self.out, self.degree,
-                            {a: v * n for a, v in self.entries.items()})
         return MultiMap(self.module, self.arity, self.out, self.degree,
                         {a: {o: c * n for o, c in row.items()}
                          for a, row in self.entries.items()})
@@ -124,19 +120,14 @@ class MultiMap:
         if (self.arity, self.out, self.degree) != (other.arity, other.out,
                                                    other.degree):
             raise StructureError("cannot add maps of different type")
-        out = MultiMap(self.module, self.arity, self.out, self.degree,
-                       dict(self.entries) if self.out == "scalar" else
-                       {a: dict(r) for a, r in self.entries.items()})
-        for args, o, c in other.items():
-            out._add(args, {o: c} if o is not None else c)
+        out = MultiMap(self.module, self.arity, self.out, self.degree)
+        out.entries = {a: dict(row) for a, row in self.entries.items()}
+        for args, row in other.entries.items():
+            out._add(args, row)
         return out
 
     def minus(self, other):
         return self.plus(other.scale(-1))
-
-
-def zero_map(module, arity, out, degree):
-    return MultiMap(module, arity, out, degree)
 
 
 def compose_at(f, i, g):
@@ -154,8 +145,7 @@ def compose_at(f, i, g):
                 continue
             sign = (-1) ** (g.degree * sum(degs[a] for a in f_args[:i - 1]))
             args = f_args[:i - 1] + g_args + f_args[i:]
-            val = f_c * g_c * sign
-            out._add(args, val if f.out == "scalar" else {f_out: val})
+            out._add(args, {f_out: f_c * g_c * sign})
     return out
 
 
@@ -189,7 +179,7 @@ def sigma_sharp(f, sigma):
         x = tuple(x)
         sign = _koszul_rearrange_sign([degs[f_args[r]] for r in range(f.arity)],
                                       [inv[r] for r in range(f.arity)])
-        out._add(x, {f_out: f_c * sign} if f.out == "module" else f_c * sign)
+        out._add(x, {f_out: f_c * sign})
     return out
 
 
@@ -201,7 +191,7 @@ def rotate_last_to_front(f):
         # f saw (x_k, x_1, ..., x_{k-1}); the outer map's arguments are x
         x = f_args[1:] + f_args[:1]
         sign = (-1) ** (degs[f_args[0]] * sum(degs[a] for a in f_args[1:]))
-        out._add(x, {f_out: f_c * sign} if f.out == "module" else f_c * sign)
+        out._add(x, {f_out: f_c * sign})
     return out
 
 
@@ -217,27 +207,21 @@ def precompose_differential(f, d):
                 continue
             sign = (-1) ** sum(degs[a] for a in args[:i])
             for mid, c in row.items():
-                inner = args[:i] + (mid,) + args[i + 1:]
-                if f.out == "scalar":
-                    v = f.entries.get(inner)
-                    if v:
-                        out._add(args, v * c * sign)
-                else:
-                    for o, fc in f.entries.get(inner, {}).items():
-                        out._add(args, {o: fc * c * sign})
+                f_row = f.entries.get(args[:i] + (mid,) + args[i + 1:])
+                if f_row:
+                    out._add(args, {o: fc * c * sign
+                                    for o, fc in f_row.items()})
     return out
 
 
 def commutator(d, f):
     """[D, f] = d o f - (-1)^{|f|} f o d_tensor."""
     lhs = MultiMap(f.module, f.arity, f.out, f.degree + 1)
-    if f.out == "module":
-        for args, row in f.entries.items():
-            for o, c in row.items():
-                for (src,), drow in d.entries.items():
-                    if src == o:
-                        for o2, dc in drow.items():
-                            lhs._add(args, {o2: c * dc})
+    d_rows = {src: row for (src,), row in d.entries.items()}
+    for args, o, c in f.items():
+        d_row = d_rows.get(o)        # None for the output of a scalar map
+        if d_row:
+            lhs._add(args, {o2: c * dc for o2, dc in d_row.items()})
     return lhs.plus(precompose_differential(f, d).scale(-((-1) ** f.degree)))
 
 
@@ -260,20 +244,20 @@ class StructureSet:
 
     def mu_map(self, k):
         got = self.mu.get(k)
-        return got if got is not None else zero_map(self.module, k,
+        return got if got is not None else MultiMap(self.module, k,
                                                     "module", 2 - k)
 
     def lam_map(self, j, k):
         got = self.lam.get((j, k))
         if got is not None:
             return got
-        return zero_map(self.module, j + k + 1, "module", 1 - j - k)
+        return MultiMap(self.module, j + k + 1, "module", 1 - j - k)
 
     def rho_map(self, j, k):
         got = self.rho.get((j, k))
         if got is not None:
             return got
-        return zero_map(self.module, j + k + 2, "scalar",
+        return MultiMap(self.module, j + k + 2, "scalar",
                         self.rho_degree - j - k)
 
     def corolla_map(self, diagram):
@@ -320,6 +304,8 @@ def maps_equal(a, b):
 
 def residual_a_infinity(structures, k):
     """Defect of the multiplication relation at arity k."""
+    if k < 2:
+        raise StructureError("the multiplication relation starts at arity 2")
     s = structures
     total = commutator(s.d, s.mu_map(k))
     for j in range(2, k):
@@ -424,10 +410,6 @@ def tensor_module(ma, mb):
     return GradedModule(names, degrees)
 
 
-def _split(idx, dim_b):
-    return idx // dim_b, idx % dim_b
-
-
 def _pair_sign(degs_a, degs_b, a_args, b_args):
     # sigma_n: (a_1|b_1, ..., a_n|b_n) -> (a_1..a_n | b_1..b_n)
     sign = 1
@@ -456,11 +438,8 @@ def pair_evaluate(tensor_elem, sa, sb, arity, out, degree):
                 args = tuple(a * dim_b + b for a, b in zip(a_args, b_args))
                 sign = koszul * _pair_sign(ma.degrees, mb.degrees,
                                            a_args, b_args)
-                val = coef * a_c * b_c * sign
-                if out == "scalar":
-                    result._add(args, val)
-                else:
-                    result._add(args, {a_out * dim_b + b_out: val})
+                o = None if a_out is None else a_out * dim_b + b_out
+                result._add(args, {o: coef * a_c * b_c * sign})
     return result
 
 
@@ -472,19 +451,13 @@ def tensor_structure(sa, sb, max_mu=3, max_inner=2):
 
     mod = tensor_module(sa.module, sb.module)
     dim_b = sb.module.dim
-    d_entries = {}
-    for (src,), row in sa.d.entries.items():
-        for o, c in row.items():
-            for b in range(dim_b):
-                d_entries.setdefault((src * dim_b + b,), {})[o * dim_b + b] = c
-    for (src,), row in sb.d.entries.items():
-        for o, c in row.items():
-            for a in range(sa.module.dim):
-                sgn = (-1) ** sa.module.degrees[a]
-                row2 = d_entries.setdefault((a * dim_b + src,), {})
-                row2[a * dim_b + o] = row2.get(a * dim_b + o,
-                                               Fraction(0)) + c * sgn
-    d = MultiMap(mod, 1, "module", 1, d_entries)
+    d = MultiMap(mod, 1, "module", 1)       # d (x) 1 + 1 (x) d, Koszul signed
+    for (src,), o, c in sa.d.items():
+        for b in range(dim_b):
+            d._add((src * dim_b + b,), {o * dim_b + b: c})
+    for (src,), o, c in sb.d.items():
+        for a, deg in enumerate(sa.module.degrees):
+            d._add((a * dim_b + src,), {a * dim_b + o: c * (-1) ** deg})
 
     out = StructureSet(mod, d, name="%s(x)%s" % (sa.name, sb.name),
                        rho_degree=sa.rho_degree + sb.rho_degree)
@@ -515,32 +488,34 @@ def check_rho20_identity(sa, sb):
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _parse_fraction(text):
-    return Fraction(text)
+def _field(obj, key):
+    if not isinstance(obj, dict) or key not in obj:
+        raise StructureError("fixture: expected a JSON object with the "
+                             "key %r" % key)
+    return obj[key]
 
 
 def structures_from_dict(data):
-    basis = data["basis"]
-    module = GradedModule(tuple(b["name"] for b in basis),
-                          tuple(int(b["degree"]) for b in basis))
-    idx = {b["name"]: i for i, b in enumerate(basis)}
+    basis = _field(data, "basis")
+    module = GradedModule(tuple(_field(b, "name") for b in basis),
+                          tuple(int(_field(b, "degree")) for b in basis))
     d = MultiMap(module, 1, "module", 1,
-                 [((idx[src],), {idx[dst]: _parse_fraction(c)})
+                 [((module.index(src),), {module.index(dst): Fraction(c)})
                   for src, dst, c in data.get("d", [])])
     s = StructureSet(module, d, name=data.get("name", ""),
                      rho_degree=int(data.get("rho_degree", 0)))
     for k_text, entries in data.get("mu", {}).items():
         k = int(k_text)
         s.mu[k] = MultiMap(module, k, "module", 2 - k,
-                           [(tuple(idx[a] for a in args),
-                             {idx[out]: _parse_fraction(c)})
+                           [(tuple(module.index(a) for a in args),
+                             {module.index(out): Fraction(c)})
                             for args, out, c in entries])
     for jk_text, entries in data.get("rho", {}).items():
         j, k = (int(t) for t in jk_text.split(","))
         s.rho[(j, k)] = MultiMap(module, j + k + 2, "scalar",
                                  s.rho_degree - j - k,
-                                 [(tuple(idx[a] for a in args),
-                                   _parse_fraction(c))
+                                 [(tuple(module.index(a) for a in args),
+                                   {None: Fraction(c)})
                                   for args, c in entries])
     if data.get("bimodule", "canonical") == "canonical":
         s.use_canonical_bimodule(max_arity=int(data.get("max_arity", 5)))

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 from . import perms
 from .diagrams import (
-    DiagramError, cut, degree, edges, expansions, fmt, is_corolla,
-    labeled_graft, leaf_count,
+    DiagramError, degree, edges, expansions, fmt, labeled_graft, leaf_count,
 )
 from .formal import FormalSum, bilinear, unit
-from .orientations import Orientation, orient, wedge
+from .orientations import (
+    Orientation, composition_sign, decompose, graft_wedge, orient, wedge,
+)
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def compose_c(x, i, y):
     if grafted is None:
         return FormalSum()
     g, perm = grafted
-    o = orient([g.host_edges[e] for e in x.keys]
-               + [g.guest_edges[e] for e in y.keys] + [g.new_edge])
+    o = graft_wedge(g, x.keys, y.keys, True)
     k, l = leaf_count(x.diagram), leaf_count(y.diagram)
     eps = i * (l + 1) + k * degree(y.diagram)
     return unit(CGenerator(g.diagram, perm, o.keys), (-1) ** eps * o.sign)
@@ -100,37 +100,10 @@ def compose_elements(x, i, y):
 # sym_action gives the generator back.
 
 
-def _decompose_canonical(diagram, keys):
-    """Expression for (diagram, identity labeling, +sorted orientation)."""
-    if is_corolla(diagram):
-        return (1, ("leaf", diagram))
-    e = edges(diagram)[0]
-    c = cut(diagram, e)
-    sub1 = _decompose_canonical(c.host, tuple(sorted(edges(c.host), key=sorted)))
-    sub2 = _decompose_canonical(c.outer, tuple(sorted(edges(c.outer), key=sorted)))
-    g = c.graft
-    mapped = ([g.host_edges[k] for k in sorted(edges(c.host), key=sorted)]
-              + [g.guest_edges[k] for k in sorted(edges(c.outer), key=sorted)]
-              + [e])
-    o = orient(mapped, 1)
-    if o is None or o.keys != keys:
-        raise DiagramError("edge bookkeeping failed in decomposition")
-    i, l = c.pos, leaf_count(c.outer)
-    k = leaf_count(c.host)
-    n = leaf_count(diagram)
-    eps = i * (l + 1) + k * degree(c.outer)
-    rot_sign = (-1) ** (g.rot * (n - 1))
-    coef = o.sign * (-1) ** eps * rot_sign
-    node = ("compose", sub1, i, sub2)
-    if g.rot:
-        node = ("act", perms.invert(perms.rotation(n, g.rot)), (1, node))
-    return (coef, node)
-
-
 def decompose_corollas(gen):
     """Express a generator through corollas, compositions and the action."""
     n = leaf_count(gen.diagram)
-    base = _decompose_canonical(gen.diagram, gen.keys)
+    base = decompose(gen.diagram, gen.keys, gen.keys, composition_sign)
     if gen.perm == perms.identity(n):
         return base
     return (perms.sign(gen.perm), ("act", gen.perm, base))

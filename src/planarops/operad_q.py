@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from . import perms
 from .diagrams import (
-    DiagramError, contract, cut, edges, fmt, labeled_graft, leaf_count,
+    DiagramError, contract, edges, fmt, labeled_graft, leaf_count,
 )
 from .formal import FormalSum, bilinear, unit
-from .orientations import orient
+from .orientations import decompose, graft_wedge, orient
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ def compose_q(x, i, y):
     if grafted is None:
         return FormalSum()
     g, perm = grafted
-    o = orient([g.host_edges[e] for e in x.metric]
-               + [g.guest_edges[e] for e in y.metric])
+    o = graft_wedge(g, x.metric, y.metric, False)
     return unit(QGenerator(g.diagram, perm, o.keys), o.sign)
 
 
@@ -102,35 +101,11 @@ def compose_elements(x, i, y):
 # q_action gives the generator back.
 
 
-def _decompose_metric_canonical(diagram, metric):
-    non = [e for e in sorted(set(edges(diagram)) - set(metric), key=sorted)]
-    if not non:
-        return (1, ("leaf", diagram))
-    e = non[0]
-    c = cut(diagram, e)
-    g = c.graft
-    host_metric = tuple(sorted((k for k in edges(c.host)
-                                if g.host_edges[k] in set(metric)), key=sorted))
-    outer_metric = tuple(sorted((k for k in edges(c.outer)
-                                 if g.guest_edges[k] in set(metric)), key=sorted))
-    sub1 = _decompose_metric_canonical(c.host, host_metric)
-    sub2 = _decompose_metric_canonical(c.outer, outer_metric)
-    mapped = ([g.host_edges[k] for k in host_metric]
-              + [g.guest_edges[k] for k in outer_metric])
-    o = orient(mapped, 1)
-    if o is None or o.keys != metric:
-        raise DiagramError("metric bookkeeping failed in decomposition")
-    node = ("compose", sub1, c.pos, sub2)
-    if g.rot:
-        n = leaf_count(diagram)
-        node = ("act", perms.invert(perms.rotation(n, g.rot)), (1, node))
-    return (o.sign, node)
-
-
 def decompose_nonmetric(gen):
     """Express a generator through fully metric ones at non-metric edges."""
     n = leaf_count(gen.diagram)
-    base = _decompose_metric_canonical(gen.diagram, gen.metric)
+    base = decompose(gen.diagram, gen.metric, gen.nonmetric(),
+                     lambda c, n: 1)
     if gen.perm == perms.identity(n):
         return base
     return (1, ("act", gen.perm, base))

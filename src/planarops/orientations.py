@@ -22,7 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import DiagramError, cut, edges, fmt, is_binary, leaf_count
+from . import perms
+from .diagrams import (
+    DiagramError, cut, degree, edges, fmt, is_binary, leaf_count,
+)
 from .tamari import cocovers, dmax, dmin, move_path_down, positive_edges
 
 
@@ -107,33 +110,89 @@ def transfer(o, step):
     return orient([mapping[k] for k in o.keys], -o.sign)
 
 
+def graft_wedge(g, host_keys, guest_keys, new_edge):
+    """The wedge of host keys, then guest keys, then (if `new_edge`) the
+    edge the graft creates, carried into the composite of Graft `g`."""
+    return orient([g.host_edges[k] for k in host_keys]
+                  + [g.guest_edges[k] for k in guest_keys]
+                  + ([g.new_edge] if new_edge else []))
+
+
+# ---------------------------------------------------------------------------
+# the cut-and-split step
+#
+# Cutting a diagram at an edge writes it as a graft of the two parts; a
+# wedge `keys` of its edges splits into the keys each part carries, and
+# the decomposition of a generator is this step repeated until no edge of
+# the cut set is left.  xi, decompose_corollas and decompose_nonmetric all
+# rest on it.
+
+
+def split(d, e, keys):
+    """Cut `d` at edge `e` and share the sorted wedge `keys` between the
+    parts.
+
+    Returns (cut, host keys, outer keys, sign): the sorted edges of each
+    part that land in `keys`, and the parity of their mapped wedge (host
+    keys, outer keys, then `e` when `e` is one of `keys`) against `keys`.
+    """
+    c = cut(d, e)
+    host, outer = _part_keys(c, keys)
+    o = graft_wedge(c.graft, host, outer, e in keys)
+    if o is None or o.keys != tuple(keys):
+        raise DiagramError("edge bookkeeping failed in decomposition")
+    return c, host, outer, o.sign
+
+
+def _part_keys(c, keys):
+    chosen = set(keys)
+    g = c.graft
+    return (tuple(k for k in edges(c.host) if g.host_edges[k] in chosen),
+            tuple(k for k in edges(c.outer) if g.guest_edges[k] in chosen))
+
+
+def composition_sign(c, n):
+    """(-1)^(i(l+1) + k deg(outer) + rot(n-1)) for the cut `c` of an n-leaf
+    diagram: the sign of the i-th composition of the k-leaf host with the
+    l-leaf outer part, and of the rotation that undoes the graft's shift."""
+    i, l, k = c.pos, leaf_count(c.outer), leaf_count(c.host)
+    return (-1) ** (i * (l + 1) + k * degree(c.outer) + c.graft.rot * (n - 1))
+
+
+def decompose(d, keys, cuttable, sign):
+    """Expression (see formal.py) for `d` with identity labeling and the
+    +sorted wedge `keys`, cut at the edges of `cuttable` down to leaves with
+    none left; `sign(cut, n)` is the sign each composition carries."""
+    if not cuttable:
+        return (1, ("leaf", d))
+    c, host, outer, parity = split(d, cuttable[0], keys)
+    host_cut, outer_cut = _part_keys(c, cuttable)
+    n = leaf_count(d)
+    node = ("compose", decompose(c.host, host, host_cut, sign), c.pos,
+            decompose(c.outer, outer, outer_cut, sign))
+    if c.graft.rot:
+        node = ("act", perms.invert(perms.rotation(n, c.graft.rot)), (1, node))
+    return (parity * sign(c, n), node)
+
+
 @lru_cache(maxsize=None)
 def xi(d):
     """Base orientation of a binary diagram, +1 on two-leaf corollas."""
-    return _xi_via(d, None)
+    return xi_via(d, None)
 
 
 def xi_via(d, edge):
-    """xi computed by splitting at a chosen edge (for independence tests)."""
-    return _xi_via(d, edge)
-
-
-def _xi_via(d, edge):
+    """xi split at `edge` (the first edge when None), with the parts' xi
+    from the cache; path independence means every edge gives xi."""
     if not is_binary(d):
         raise DiagramError("xi needs a binary diagram")
-    es = edges(d)
+    es = tuple(edges(d))
     if not es:
         return Orientation(1, ())
-    e = es[0] if edge is None else edge
-    c = cut(d, e)
-    x1, x2 = xi(c.host), xi(c.outer)
-    mapped = ([c.graft.host_edges[k] for k in x1.keys]
-              + [c.graft.guest_edges[k] for k in x2.keys] + [e])
-    i, l = c.pos, leaf_count(c.outer)
-    n = leaf_count(d)
-    sign = x1.sign * x2.sign * (-1) ** (i * (l + 1)) \
-        * (-1) ** (c.graft.rot * (n - 1))
-    return orient(mapped, sign)
+    c, _host, _outer, parity = split(d, es[0] if edge is None else edge, es)
+    sign = xi(c.host).sign * xi(c.outer).sign * parity \
+        * composition_sign(c, leaf_count(d))
+    return Orientation(sign, es)
 
 
 @lru_cache(maxsize=None)

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import (
-    degree, edges, enumerate_class, leaf_count, shape_class,
-)
+from .diagrams import edges, enumerate_class, shape_class
 from .formal import FormalSum, evaluate
 from .operad_c import (
-    compose_elements as compose_c_elements, c_unit, decompose_corollas,
+    compose_elements as compose_c_elements, c_generator, decompose_corollas,
     sym_action,
 )
 from .operad_q import (
     compose_elements as compose_q_elements, decompose_nonmetric, q_action,
-    q_unit,
+    q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
 from .tamari import dmax, dmin, leq, positive_edges
@@ -31,21 +29,16 @@ from .tamari import dmax, dmin, leq, positive_edges
 
 @lru_cache(maxsize=None)
 def _q_corolla(diagram):
-    out = FormalSum()
-    for b in enumerate_class(shape_class(diagram), 0):
-        out = out + q_unit(b, orientation=omega_std(b))
-    return out
+    return FormalSum(q_generator(b, orientation=omega_std(b))
+                     for b in enumerate_class(shape_class(diagram), 0))
 
 
 def q_map(x):
     """The subdivision quasi-isomorphism, extended linearly; the signed
     action becomes the unsigned one."""
-    out = FormalSum()
-    for gen, coef in x.terms.items():
-        img = evaluate(decompose_corollas(gen), _q_corolla,
-                       compose_q_elements, q_action)
-        out = out + img.scale(coef)
-    return out
+    return x.map_terms(lambda gen, coef: evaluate(
+        decompose_corollas(gen), _q_corolla, compose_q_elements,
+        q_action).scale(coef))
 
 
 @lru_cache(maxsize=None)
@@ -55,21 +48,15 @@ def _p_fullmetric(diagram):
     d_min = dmin(diagram)
     if positive_edges(d_min) != own:
         return FormalSum()
-    k = len(own)
     omega_d = orient(edges(diagram), 1)
-    out = FormalSum()
-    for s in enumerate_class(shape_class(diagram), k):
-        if leq(dmax(s), d_min):
-            out = out + c_unit(s, orientation=omega_sd(s, diagram, omega_d))
-    return out
+    return FormalSum(c_generator(s, orientation=omega_sd(s, diagram, omega_d))
+                     for s in enumerate_class(shape_class(diagram), len(own))
+                     if leq(dmax(s), d_min))
 
 
 def p_map(x):
     """The quasi-inverse of q, extended linearly; the sign character of the
     action reappears."""
-    out = FormalSum()
-    for gen, coef in x.terms.items():
-        img = evaluate(decompose_nonmetric(gen), _p_fullmetric,
-                       compose_c_elements, sym_action)
-        out = out + img.scale(coef)
-    return out
+    return x.map_terms(lambda gen, coef: evaluate(
+        decompose_nonmetric(gen), _p_fullmetric, compose_c_elements,
+        sym_action).scale(coef))

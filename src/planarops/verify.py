@@ -17,25 +17,19 @@ from pathlib import Path
 from . import perms
 from .diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
-    enumerate_class, expansions, fmt, inner_corolla, leaf_count,
-    module_corolla, parse, rotate180, shape_class, shapes_up_to, tree_corolla,
+    enumerate_class, fmt, inner_corolla, leaf_count, module_corolla, parse,
+    rotate180, shapes_up_to, tree_corolla,
 )
 from .formal import FormalSum, unit
-from .operad_c import (
-    CGenerator, boundary_c, c_generator, c_unit, compose_c, compose_elements,
-    sym_action,
-)
+from .operad_c import boundary_c, c_generator, c_unit, compose_c
 from .operad_q import QGenerator, boundary_q, q_unit
-from .orientations import (
-    Orientation, omega_sd, omega_std, orient, pair_contract, transfer, xi,
-    xi_via,
-)
+from .orientations import omega_sd, omega_std, orient, transfer, xi, xi_via
 from .tamari import (
     classify_edges, cocovers, covers, dmax, dmin, leq, positive_edges,
 )
 from .transfer import p_map, q_map
 from .diagonal import (
-    c_tensor_boundary, coassoc_defect_q, delta_c, delta_c_mod_higher, delta_q,
+    coassoc_defect_q, delta_c, delta_c_mod_higher, delta_q,
     noncoassociativity_witness, q_tensor_boundary, support_formula,
     unsigned_support,
 )
@@ -551,7 +545,8 @@ def _random_structures(rng, degrees, max_mu=4):
             entries = []
             for args in itertools.product(range(dim), repeat=j + k + 2):
                 if sum(degrees[a] for a in args) - j - k == 0:
-                    entries.append((args, Fraction(rng.randint(-2, 2))))
+                    entries.append(
+                        (args, {None: Fraction(rng.randint(-2, 2))}))
             s.rho[(j, k)] = MultiMap(module, j + k + 2, "scalar", -j - k,
                                      entries)
     s.use_canonical_bimodule(max_mu + 2)

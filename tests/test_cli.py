@@ -144,3 +144,43 @@ def test_verify_json(capsys):
         assert set(check) == {"name", "ok", "detail", "seconds"}
         assert check["ok"] is True and check["seconds"] >= 0
     assert data["passed"] == len(CHECKS)
+
+
+def test_malformed_fixtures_are_input_errors(capsys, tmp_path):
+    good = {"name": "g", "basis": [{"name": "u", "degree": 0}], "d": [],
+            "mu": {"2": [[["u", "u"], "u", "1"]]}}
+    unknown = dict(good, mu={"2": [[["u", "b"], "u", "1"]]})
+    cases = {"no_basis.json": ({"name": "x"}, "'basis'"),
+             "unknown.json": (unknown, "'b'"),
+             "list.json": ([1, 2], "'basis'")}
+    for name, (data, needle) in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        code = main(["tensor-ainf", str(path), str(path), "--arity", "2"])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("error: ") and needle in err, (name, err)
+
+
+def test_bad_numbers_say_what_was_expected(capsys):
+    cases = [(["enumerate", "T", "0"], "shapes look like T4"),
+             (["boundary", "c", "x*((* *))"], "coefficient"),
+             (["boundary", "c", "((* *) ; 1 x)"], "permutation"),
+             (["boundary", "c", "((* *) ; id ; [1-2x])"], "leaf intervals")]
+    for argv, needle in cases:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert needle in err and "invalid literal" not in err, (argv, err)
+
+
+def test_tensor_ainf_rejects_arities_below_two(capsys):
+    from pathlib import Path
+    fx = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"
+    for arity in ("1", "0", "-2"):
+        code = main(["tensor-ainf", str(fx / "frobenius.json"),
+                     str(fx / "two_term.json"), "--arity", arity])
+        captured = capsys.readouterr()
+        assert code == 2, arity
+        assert captured.out == ""
+        assert "starts at arity 2" in captured.err, captured.err

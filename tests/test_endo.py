@@ -17,7 +17,7 @@ from planarops.endo import (
     compose_at, eval_element, eval_generator, load_structures, maps_equal,
     pair_evaluate, residual_a_infinity, residual_bimodule, residual_inner,
     sigma_sharp, structures_from_dict, tensor_module, tensor_structure,
-    check_rho20_identity, validate_structures, zero_map,
+    check_rho20_identity, validate_structures,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"
@@ -50,7 +50,8 @@ def random_structures(rng, degrees, max_mu=4, rho_degree=0, max_inner=1):
             entries = []
             for args in itertools.product(range(dim), repeat=j + k + 2):
                 if sum(degrees[a] for a in args) + rho_degree - j - k == 0:
-                    entries.append((args, Fraction(rng.randint(-2, 2))))
+                    entries.append(
+                        (args, {None: Fraction(rng.randint(-2, 2))}))
             s.rho[(j, k)] = MultiMap(module, j + k + 2, "scalar",
                                      rho_degree - j - k, entries)
     s.use_canonical_bimodule(max_mu + 2)
@@ -238,10 +239,11 @@ def test_pairing_display_on_i00_component():
     da, db = sa.module.degrees, sb.module.degrees
     dim_b = sb.module.dim
     expected = MultiMap(pair.module, 2, "scalar", pair.rho_degree)
-    for (a1, a2), va in sa.rho_map(0, 0).entries.items():
-        for (b1, b2), vb in sb.rho_map(0, 0).entries.items():
+    for (a1, a2), _o, va in sa.rho_map(0, 0).items():
+        for (b1, b2), _o, vb in sb.rho_map(0, 0).items():
             sign = (-1) ** (da[a2] * db[b1])
-            expected._add((a1 * dim_b + b1, a2 * dim_b + b2), va * vb * sign)
+            expected._add((a1 * dim_b + b1, a2 * dim_b + b2),
+                          {None: va * vb * sign})
     assert rho == expected
 
 

@@ -1,6 +1,10 @@
 import pytest
 
-from planarops import operad_c, transfer, verify
+from planarops import operad_c, orientations, transfer, verify
+from planarops.diagrams import (
+    INNER, MODULE, TREE, ShapeClass, degree, edges, enumerate_class,
+    leaf_count,
+)
 
 
 def test_run_suite_small_cap_passes(capsys):
@@ -33,3 +37,55 @@ def test_flipped_composition_sign_fails_chain_maps():
         transfer._p_fullmetric.cache_clear()
         transfer._q_corolla.cache_clear()
     assert not ok or not ok2
+
+
+
+def _sign_without(term):
+    """composition_sign with one of its three exponent terms dropped."""
+    def sign(c, n):
+        terms = {"i(l+1)": c.pos * (leaf_count(c.outer) + 1),
+                 "k deg(outer)": leaf_count(c.host) * degree(c.outer),
+                 "rot(n-1)": c.graft.rot * (n - 1)}
+        terms.pop(term, None)
+        return (-1) ** sum(terms.values())
+    return sign
+
+
+def _clear_sign_caches():
+    orientations.xi.cache_clear()
+    orientations.omega_std.cache_clear()
+    transfer._q_corolla.cache_clear()
+    transfer._p_fullmetric.cache_clear()
+
+
+def test_sign_terms_match_composition_sign():
+    # the mutants below drop one term from this same three-term sum, on
+    # cuts that exercise each term (rotations and positive outer degree)
+    full = _sign_without(None)
+    seen = set()
+    for shape in (ShapeClass(TREE, (5,)), ShapeClass(MODULE, (1, 2)),
+                  ShapeClass(INNER, (2, 1))):
+        for deg in range(3):
+            for d in enumerate_class(shape, deg):
+                for e in edges(d):
+                    c = orientations.split(d, e, edges(d))[0]
+                    n = leaf_count(d)
+                    assert full(c, n) == orientations.composition_sign(c, n)
+                    seen.add((c.graft.rot > 0, degree(c.outer) > 0))
+    assert seen == {(False, False), (False, True), (True, False),
+                    (True, True)}
+
+
+@pytest.mark.parametrize("term", ["i(l+1)", "k deg(outer)", "rot(n-1)"])
+def test_each_composition_sign_term_is_load_bearing(monkeypatch, term):
+    # mutation check: dropping any one term of the merged sign must make
+    # the chain-map check fail at cap 5 (cap 4 misses "k deg(outer)")
+    _clear_sign_caches()
+    try:
+        with monkeypatch.context() as patch:
+            for module in (orientations, operad_c):
+                patch.setattr(module, "composition_sign", _sign_without(term))
+            ok, _detail = verify.check_chain_maps(5)
+    finally:
+        _clear_sign_caches()
+    assert not ok, term
