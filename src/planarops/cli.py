@@ -20,8 +20,8 @@ import sys
 
 from . import perms
 from .diagrams import (
-    INNER, MODULE, TREE, DiagramError, ShapeClass, degree, edges,
-    enumerate_class, fmt, fmt_edge, is_corolla, leaf_count, parse, parse_edge,
+    INNER, MODULE, TREE, DiagramError, ShapeClass, enumerate_class, fmt,
+    fmt_edge, is_binary, is_corolla, leaf_count, parse, parse_edge,
     shape_class,
 )
 from .formal import unit
@@ -98,6 +98,8 @@ def parse_generator(text, which):
     orientation = None
     if len(sections) > 2 and sections[2]:
         orientation = orient(_parse_keys(sections[2], n), 1)
+        if orientation is None:
+            raise DiagramError("an orientation lists each edge once")
     metric = None
     for sec in sections[3:]:
         if sec.startswith("metric:"):
@@ -193,7 +195,9 @@ def cmd_minmax(args):
 
 def cmd_leq(args):
     b1, b2 = parse(args.b1), parse(args.b2)
-    result = leq(b1, b2)
+    result = leq(b1, b2)            # raises on a non-binary b1
+    if not is_binary(b2):
+        raise DiagramError("covers and cocovers need a binary diagram")
     if args.dot:
         print(poset_dot(shape_class(b1)))
         return

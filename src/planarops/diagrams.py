@@ -469,11 +469,10 @@ def thick_positions(d):
 # edges
 #
 # Edge locations:
-#   ("thin", prefix)    thin edge above the subtree at leaf-address prefix
-#   ("mthick", i)       module diagram: thick edge below stack vertex i >= 1
-#   ("la_thick", i)     inner: left-arm thick edge below arm vertex i >= 0
-#   ("ra_thick", i)     inner: right-arm thick edge below arm vertex i >= 0
-# (arm edge 0 joins the central vertex to the innermost arm vertex)
+#   ("thin", prefix)        thin edge above the subtree at leaf-address prefix
+#   ("thick", wrap, i)      thick edge below vertex i of the stack `wrap` (see
+#                           _stacks); a module diagram has none below vertex
+#                           0, an arm's edge 0 joins it to the central vertex
 
 def fmt_edge(key, n):
     """Render an outward leaf set as a cyclic interval ``a-b``."""
@@ -511,24 +510,14 @@ def _pos_of(d):
     return {a: i + 1 for i, a in enumerate(canonical_addresses(d))}
 
 
-def _thin_edges(t, prefix, pos, include_root):
-    out = []
+def _thin_edges(t, prefix, pos):
+    """The edge above `t` (unless a leaf) and every thin edge inside it."""
     if t.is_leaf:
-        return out
-    if include_root:
-        key = frozenset(pos[a] for a in _thin_addresses(t, prefix))
-        out.append((key, ("thin", prefix)))
+        return []
+    out = [(frozenset(pos[a] for a in _thin_addresses(t, prefix)),
+            ("thin", prefix))]
     for i, c in enumerate(t.children):
-        out.extend(_thin_edges(c, prefix + (i,), pos, True))
-    return out
-
-
-def _stack_thin_edges(stack, pos, wrap):
-    out = []
-    for vi, v in enumerate(stack):
-        for side, forest in (("L", v.left), ("R", v.right)):
-            for ti, t in enumerate(forest):
-                out.extend(_thin_edges(t, wrap + (side, vi, ti), pos, True))
+        out.extend(_thin_edges(c, prefix + (i,), pos))
     return out
 
 
@@ -547,22 +536,18 @@ def edge_locs(d):
     out = []
     if d.kind == TREE:
         for i, c in enumerate(d.payload.children):
-            out.extend(_thin_edges(c, ("t", i), pos, True))
-    elif d.kind == MODULE:
-        stack = d.payload
-        for vi in range(1, len(stack)):
-            out.append((_outward(stack, vi, (), pos), ("mthick", vi)))
-        out.extend(_stack_thin_edges(stack, pos, ()))
-    else:
-        inn = d.payload
-        for arm_tag, stack in (("la", inn.left_arm), ("ra", inn.right_arm)):
-            for i in range(len(stack)):
-                out.append((_outward(stack, i, (arm_tag,), pos),
-                            (arm_tag + "_thick", i)))
-            out.extend(_stack_thin_edges(stack, pos, (arm_tag,)))
-        for tag, forest in (("up", inn.up), ("dn", inn.down)):
-            for i, t in enumerate(forest):
-                out.extend(_thin_edges(t, (tag, i), pos, True))
+            out.extend(_thin_edges(c, ("t", i), pos))
+    for wrap, stack in _stacks(d):
+        for i in range(0 if wrap else 1, len(stack)):
+            out.append((_outward(stack, i, wrap, pos), ("thick", wrap, i)))
+        for vi, v in enumerate(stack):
+            for side, forest in (("L", v.left), ("R", v.right)):
+                for ti, t in enumerate(forest):
+                    out.extend(_thin_edges(t, wrap + (side, vi, ti), pos))
+    if d.kind == INNER:
+        for tag in ("up", "dn"):
+            for i, t in enumerate(_part(d.payload, tag)):
+                out.extend(_thin_edges(t, (tag, i), pos))
     locs = dict(out)
     if len(locs) != len(out):
         raise DiagramError("edge keys collide on %s" % fmt(d))
@@ -618,6 +603,29 @@ def _with_part(inn, tag, value):
     return inner_diagram(*parts)
 
 
+def _stacks(d):
+    """The thick-line stacks of `d` as (wrap, stack) pairs: ((), payload)
+    for a module diagram, (("la",), left arm) and (("ra",), right arm) for
+    an inner diagram, none for a tree.  `wrap` prefixes the addresses and
+    edge locations inside the stack."""
+    if d.kind == MODULE:
+        return (((), d.payload),)
+    if d.kind == INNER:
+        return ((("la",), d.payload.left_arm), (("ra",), d.payload.right_arm))
+    return ()
+
+
+def _stack_at(d, wrap):
+    return _part(d.payload, wrap[0]) if wrap else d.payload
+
+
+def _with_stack(d, wrap, stack):
+    """`d` with the stack `wrap` replaced."""
+    if wrap:
+        return _with_part(d.payload, wrap[0], stack)
+    return module_diagram(stack)
+
+
 def _replace_forest(d, addr, fn):
     """Rebuild `d` with the thin tree t named by the head of `addr` replaced
     by the trees fn(t, path), where path is the rest of `addr` below t.
@@ -628,22 +636,17 @@ def _replace_forest(d, addr, fn):
     if d.kind == TREE:
         (t,) = fn(d.payload, addr[1:])
         return tree_diagram(t)
-    if d.kind == MODULE:
-        return module_diagram(_replace_in_stack(d.payload, addr, fn))
-    inn, tag = d.payload, addr[0]
-    if tag in ("la", "ra"):
+    if addr[0] in ("up", "dn"):
+        inn, tag, ti = d.payload, addr[0], addr[1]
+        forest = _part(inn, tag)
         return _with_part(inn, tag,
-                          _replace_in_stack(_part(inn, tag), addr[1:], fn))
-    forest, ti = _part(inn, tag), addr[1]
-    return _with_part(inn, tag,
-                      _forest_splice(forest, ti, fn(forest[ti], addr[2:])))
-
-
-def _replace_in_stack(stack, addr, fn):
+                          _forest_splice(forest, ti, fn(forest[ti], addr[2:])))
+    wrap = addr[:1] if addr[0] in ("la", "ra") else ()
+    stack, addr = _stack_at(d, wrap), addr[len(wrap):]
     side, vi, ti = addr[:3]
     forest = stack[vi].left if side == "L" else stack[vi].right
-    return _with_forest(stack, vi, side,
-                        _forest_splice(forest, ti, fn(forest[ti], addr[3:])))
+    return _with_stack(d, wrap, _with_forest(stack, vi, side, _forest_splice(
+        forest, ti, fn(forest[ti], addr[3:]))))
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +685,16 @@ def contract(d, key):
             return tuple(reversed(t.children)) if reverse else t.children
 
         return _replace_forest(d, loc[1], collapse)
-    if loc[0] == "mthick":
-        return module_diagram(_stack_merge(d.payload, loc[1]))
-    inn, tag, i = d.payload, loc[0][:2], loc[1]
-    stack = _part(inn, tag)
+    _thick, wrap, i = loc
+    stack = _stack_at(d, wrap)
     if i > 0:
-        return _with_part(inn, tag, _stack_merge(stack, i))
-    v0, rest = stack[0], stack[1:]
-    if tag == "la":
-        return inner_diagram(rest, v0.right + inn.up, inn.right_arm,
+        return _with_stack(d, wrap, _stack_merge(stack, i))
+    # an arm's edge 0: the forests of its innermost vertex join the center
+    inn, v0 = _with_stack(d, wrap, stack[1:]).payload, stack[0]
+    if wrap == ("la",):
+        return inner_diagram(inn.left_arm, v0.right + inn.up, inn.right_arm,
                              tuple(reversed(v0.left)) + inn.down)
-    return inner_diagram(inn.left_arm, inn.up + v0.left, rest,
+    return inner_diagram(inn.left_arm, inn.up + v0.left, inn.right_arm,
                          inn.down + tuple(reversed(v0.right)))
 
 
@@ -815,15 +817,12 @@ def _expansions_tagged(d):
         for path in _all_thin_vertex_paths(t):
             out.extend(_thin_expansions_at(
                 t, path, lambda nt: tree_diagram(nt)))
-    elif d.kind == MODULE:
-        out.extend(_stack_expansions(d.payload,
-                                     lambda ns: module_diagram(ns)))
-    else:
+    for wrap, stack in _stacks(d):
+        out.extend(_stack_expansions(
+            stack, lambda ns, wrap=wrap: _with_stack(d, wrap, ns)))
+    if d.kind == INNER:
         inn = d.payload
         out.extend(_central_splits(inn))
-        for tag in ("la", "ra"):
-            out.extend(_stack_expansions(
-                _part(inn, tag), lambda ns, tag=tag: _with_part(inn, tag, ns)))
         for tag in ("up", "dn"):
             forest = _part(inn, tag)
 
@@ -882,15 +881,10 @@ def _splice_structure(d, pos, e):
             raise ColorMismatch("thin leaf takes a tree")
         return _replace_forest(
             d, addr, lambda t, path: (_thin_replace_at(t, path, e.payload),))
-    # thick leaf
     if e.kind != MODULE:
         raise ColorMismatch("thick leaf takes a module tree")
-    if d.kind == MODULE:
-        return module_diagram(d.payload + e.payload)
-    if d.kind == INNER:
-        tag = addr[0]
-        return _with_part(d.payload, tag, _part(d.payload, tag) + e.payload)
-    raise ColorMismatch("tree diagrams have no thick leaves")
+    wrap = addr[:-1]                # the thick leaf tops the stack `wrap`
+    return _with_stack(d, wrap, _stack_at(d, wrap) + e.payload)
 
 
 def graft(d, pos, e):
@@ -973,16 +967,13 @@ def cut(d, key):
 
         host = _replace_forest(d, loc[1], sever)
         outer = tree_diagram(severed[0])
-    elif loc[0] == "mthick":
-        i = loc[1]
-        host = module_diagram(d.payload[:i])
-        outer = module_diagram(d.payload[i:])
     else:
-        inn, tag, i = d.payload, loc[0][:2], loc[1]
-        stack = _part(inn, tag)
-        host = _with_part(inn, tag, stack[:i])
+        _thick, wrap, i = loc
+        stack = _stack_at(d, wrap)
+        host = _with_stack(d, wrap, stack[:i])
         outer = module_diagram(stack[i:])
-    pos = min(key) if loc[0] != "la_thick" else 1
+    # the left arm's graft leaf is the first leaf, its thick leaf
+    pos = 1 if loc[:2] == ("thick", ("la",)) else min(key)
     g = graft(host, pos, outer)
     if g.diagram != d or g.new_edge != key:
         raise DiagramError("cut/graft mismatch on %s at %s" %

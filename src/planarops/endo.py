@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .diagrams import MODULE, TREE, shape_class
+from .diagrams import (
+    INNER, MODULE, TREE, ShapeClass, corolla_of, shape_class, shapes_up_to,
+)
 from .formal import evaluate
 from .operad_c import decompose_corollas
 from . import perms
@@ -72,6 +74,9 @@ class MultiMap:
 
     def _add(self, args, row):
         """Add the coefficients of `row` ({output: coef}) at `args`."""
+        if len(args) != self.arity:
+            raise StructureError("entry %s has arity %d, not %d"
+                                 % (args, len(args), self.arity))
         degs = self.module.degrees
         base = sum(degs[a] for a in args) + self.degree
         for o, c in row.items():
@@ -149,19 +154,6 @@ def compose_at(f, i, g):
     return out
 
 
-def _koszul_rearrange_sign(degrees_in_new_order, old_of_new):
-    """Sign for permuting graded factors so that new slot r holds the old
-    factor old_of_new[r]."""
-    sign = 1
-    for r in range(len(old_of_new)):
-        for s in range(r + 1, len(old_of_new)):
-            if old_of_new[r] > old_of_new[s]:
-                if (degrees_in_new_order[r] % 2) and \
-                        (degrees_in_new_order[s] % 2):
-                    sign = -sign
-    return sign
-
-
 def sigma_sharp(f, sigma):
     """f composed with the graded permutation of tensor factors.
 
@@ -172,13 +164,11 @@ def sigma_sharp(f, sigma):
     out = MultiMap(f.module, f.arity, f.out, f.degree)
     for f_args, f_out, f_c in f.items():
         # f receives (x_{inv(1)}, ..., x_{inv(k)}) = f_args, so x_j is
-        # f_args at the position where inv equals j
-        x = [None] * f.arity
-        for r in range(f.arity):
-            x[inv[r] - 1] = f_args[r]
-        x = tuple(x)
-        sign = _koszul_rearrange_sign([degs[f_args[r]] for r in range(f.arity)],
-                                      [inv[r] for r in range(f.arity)])
+        # f_args at position sigma(j)
+        x = tuple(f_args[p - 1] for p in sigma)
+        # Koszul: each crossing of two odd factors costs a sign
+        sign = perms.parity([inv[r] for r in range(f.arity)
+                             if degs[f_args[r]] % 2])
         out._add(x, {f_out: f_c * sign})
     return out
 
@@ -232,48 +222,55 @@ def _all_tuples(module, arity):
 # ---------------------------------------------------------------------------
 # structure sets
 
+def map_type(shape, rho_degree):
+    """(arity, output, degree) of the structure map of the corolla of
+    `shape`: mu_n for T_n, lambda_{j,k} for M_{j,k}, rho_{j,k} for I_{j,k}."""
+    if shape.kind == TREE:
+        (n,) = shape.params
+        return n, "module", 2 - n
+    j, k = shape.params
+    if shape.kind == MODULE:
+        return j + k + 1, "module", 1 - j - k
+    return j + k + 2, "scalar", rho_degree - j - k
+
+
 @dataclass
 class StructureSet:
+    """A differential `d` and the structure maps of the corolla shapes.
+
+    `maps` holds one MultiMap per ShapeClass: mu_n under T_n, lambda_{j,k}
+    under M_{j,k} and rho_{j,k} under I_{j,k}.  `op(shape)` returns the
+    stored map, or the zero map of the type `map_type` gives the shape.
+    """
+
     module: GradedModule
     d: MultiMap
-    mu: dict = field(default_factory=dict)       # k >= 2 -> MultiMap
-    lam: dict = field(default_factory=dict)      # (j, k) -> MultiMap
-    rho: dict = field(default_factory=dict)      # (j, k) -> MultiMap (scalar)
+    maps: dict = field(default_factory=dict)     # ShapeClass -> MultiMap
     rho_degree: int = 0
     name: str = ""
 
+    def op(self, shape):
+        got = self.maps.get(shape)
+        return got if got is not None else MultiMap(
+            self.module, *map_type(shape, self.rho_degree))
+
     def mu_map(self, k):
-        got = self.mu.get(k)
-        return got if got is not None else MultiMap(self.module, k,
-                                                    "module", 2 - k)
+        return self.op(ShapeClass(TREE, (k,)))
 
     def lam_map(self, j, k):
-        got = self.lam.get((j, k))
-        if got is not None:
-            return got
-        return MultiMap(self.module, j + k + 1, "module", 1 - j - k)
+        return self.op(ShapeClass(MODULE, (j, k)))
 
     def rho_map(self, j, k):
-        got = self.rho.get((j, k))
-        if got is not None:
-            return got
-        return MultiMap(self.module, j + k + 2, "scalar",
-                        self.rho_degree - j - k)
+        return self.op(ShapeClass(INNER, (j, k)))
 
     def corolla_map(self, diagram):
-        shape = shape_class(diagram)
-        if shape.kind == TREE:
-            return self.mu_map(shape.params[0])
-        if shape.kind == MODULE:
-            return self.lam_map(*shape.params)
-        return self.rho_map(*shape.params)
+        return self.op(shape_class(diagram))
 
     def use_canonical_bimodule(self, max_arity):
-        """lambda_{j,k} := mu_{j+k+1} for all shapes up to the arity cap."""
-        for j in range(max_arity):
-            for k in range(max_arity - j):
-                if 1 <= j + k + 1 <= max_arity:
-                    self.lam[(j, k)] = self.mu_map(j + k + 1)
+        """lambda_{j,k} := mu_{j+k+1} for all module shapes up to the arity
+        cap ((0,0) is not a diagram)."""
+        for shape in shapes_up_to(max_arity, kinds=(MODULE,)):
+            self.maps[shape] = self.mu_map(sum(shape.params) + 1)
         return self
 
 
@@ -380,18 +377,19 @@ def residual_inner(structures, kp, kpp):
     return total
 
 
-def validate_structures(structures, max_mu=4, max_inner=2):
-    """Run the relation checkers; raises when any defect is nonzero."""
+def validate_structures(structures):
+    """Run the relation checkers up to mu_4 and inner arity 2; raises when
+    any defect is nonzero."""
     s = structures
     square = compose_at(s.d, 1, s.d)
     if square:
         raise StructureError("d^2 != 0 in %s" % s.name)
-    for k in range(2, max_mu + 1):
+    for k in range(2, 5):
         if residual_a_infinity(s, k):
             raise StructureError("multiplication relation fails at %d in %s"
                                  % (k, s.name))
-    for j in range(0, max_inner + 1):
-        for k in range(0, max_inner + 1 - j):
+    for j in range(3):
+        for k in range(3 - j):
             if j + k >= 1 and residual_bimodule(s, j, k):
                 raise StructureError("bimodule relation fails at (%d,%d) in %s"
                                      % (j, k, s.name))
@@ -420,17 +418,19 @@ def _pair_sign(degs_a, degs_b, a_args, b_args):
     return sign
 
 
-def pair_evaluate(tensor_elem, sa, sb, arity, out, degree):
-    """Evaluate a sum of tensor-square generators as a map on A (x) B."""
+def pair_evaluate(tensor_elem, sa, sb):
+    """Evaluate a sum of tensor-square generators as a map on A (x) B; None
+    for the empty sum.  The type is that of the first term: the arity and
+    output of its left factor, the degrees of both factors added."""
     ma, mb = sa.module, sb.module
-    mod = tensor_module(ma, mb)
     dim_b = mb.dim
-    result = MultiMap(mod, arity, out, degree)
+    result = None
     for (gl, gr), coef in tensor_elem.terms.items():
         fa = eval_generator(gl, sa)
         fb = eval_generator(gr, sb)
-        if not fa or not fb:
-            continue
+        if result is None:
+            result = MultiMap(tensor_module(ma, mb), fa.arity, fa.out,
+                              fa.degree + fb.degree)
         for a_args, a_out, a_c in fa.items():
             deg_a_total = sum(ma.degrees[a] for a in a_args)
             koszul = (-1) ** (fb.degree * deg_a_total)
@@ -445,7 +445,6 @@ def pair_evaluate(tensor_elem, sa, sb, arity, out, degree):
 
 def tensor_structure(sa, sb, max_mu=3, max_inner=2):
     """The structure induced on A (x) B through the chain diagonal."""
-    from .diagrams import inner_corolla, module_corolla, tree_corolla
     from .diagonal import delta_c
     from .operad_c import c_unit
 
@@ -461,20 +460,10 @@ def tensor_structure(sa, sb, max_mu=3, max_inner=2):
 
     out = StructureSet(mod, d, name="%s(x)%s" % (sa.name, sb.name),
                        rho_degree=sa.rho_degree + sb.rho_degree)
-    for n in range(2, max_mu + 1):
-        diag = delta_c(c_unit(tree_corolla(n)))
-        out.mu[n] = pair_evaluate(diag, sa, sb, n, "module", 2 - n)
-    for j in range(max_mu):
-        for k in range(max_mu - j):
-            if j + k >= 1:
-                diag = delta_c(c_unit(module_corolla(j, k)))
-                out.lam[(j, k)] = pair_evaluate(diag, sa, sb, j + k + 1,
-                                                "module", 1 - j - k)
-    for j in range(max_inner + 1):
-        for k in range(max_inner + 1 - j):
-            diag = delta_c(c_unit(inner_corolla(j, k)))
-            out.rho[(j, k)] = pair_evaluate(diag, sa, sb, j + k + 2, "scalar",
-                                            out.rho_degree - j - k)
+    for shape in (shapes_up_to(max_mu, kinds=(TREE, MODULE))
+                  + shapes_up_to(max_inner + 2, kinds=(INNER,))):
+        out.maps[shape] = pair_evaluate(delta_c(c_unit(corolla_of(shape))),
+                                        sa, sb)
     return out
 
 
@@ -488,44 +477,60 @@ def check_rho20_identity(sa, sb):
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _field(obj, key):
-    if not isinstance(obj, dict) or key not in obj:
-        raise StructureError("fixture: expected a JSON object with the "
-                             "key %r" % key)
-    return obj[key]
+def _section(name, form, build):
+    """build(), with malformed fixture input reported as a StructureError
+    naming the section and the form it expects."""
+    try:
+        return build()
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        detail = ": %s" % exc if isinstance(exc, StructureError) else ""
+        raise StructureError("fixture: %s expects %s%s"
+                             % (name, form, detail)) from None
 
 
 def structures_from_dict(data):
-    basis = _field(data, "basis")
-    module = GradedModule(tuple(_field(b, "name") for b in basis),
-                          tuple(int(_field(b, "degree")) for b in basis))
-    d = MultiMap(module, 1, "module", 1,
-                 [((module.index(src),), {module.index(dst): Fraction(c)})
-                  for src, dst, c in data.get("d", [])])
-    s = StructureSet(module, d, name=data.get("name", ""),
-                     rho_degree=int(data.get("rho_degree", 0)))
-    for k_text, entries in data.get("mu", {}).items():
-        k = int(k_text)
-        s.mu[k] = MultiMap(module, k, "module", 2 - k,
-                           [(tuple(module.index(a) for a in args),
-                             {module.index(out): Fraction(c)})
-                            for args, out, c in entries])
-    for jk_text, entries in data.get("rho", {}).items():
-        j, k = (int(t) for t in jk_text.split(","))
-        s.rho[(j, k)] = MultiMap(module, j + k + 2, "scalar",
-                                 s.rho_degree - j - k,
-                                 [(tuple(module.index(a) for a in args),
-                                   {None: Fraction(c)})
-                                  for args, c in entries])
+    basis = _section("the file", "a JSON object with the key 'basis'",
+                     lambda: data["basis"])
+    module = _section("basis", 'entries {"name": "u", "degree": 0}',
+                      lambda: GradedModule(
+                          tuple(b["name"] for b in basis),
+                          tuple(int(b["degree"]) for b in basis)))
+
+    def build(arity, out, degree, entries):     # entries: (args, out, coef)
+        return MultiMap(module, arity, out, degree, [
+            (tuple(module.index(a) for a in args),
+             {None if o is None else module.index(o): Fraction(c)})
+            for args, o, c in entries])
+
+    d = _section("d", 'entries ["src", "dst", "coef"]', lambda: build(
+        1, "module", 1, [([a], o, c) for a, o, c in data.get("d", [])]))
+    s = StructureSet(module, d, name=data.get("name", ""), rho_degree=_section(
+        "rho_degree", "an integer", lambda: int(data.get("rho_degree", 0))))
+
+    def structure(kind, key, entries):
+        shape = ShapeClass(kind, tuple(int(t) for t in key.split(",")))
+        corolla_of(shape)                       # rejects T_1, I_{-1,2}, ...
+        if kind == INNER:                       # scalar: no output named
+            entries = [(args, None, c) for args, c in entries]
+        s.maps[shape] = build(*map_type(shape, s.rho_degree), entries)
+
+    for section, kind, form in (
+            ("mu", TREE, 'an arity k >= 2 and entries '
+             '[["a1", ..., "ak"], "out", "coef"]'),
+            ("rho", INNER, 'a key "j,k" and entries '
+             '[["a1", ..., "a(j+k+2)"], "coef"]')):
+        for key, entries in _section(section, "an object", lambda: list(
+                data.get(section, {}).items())):
+            _section('%s "%s"' % (section, key), form,
+                     lambda: structure(kind, key, entries))
     if data.get("bimodule", "canonical") == "canonical":
-        s.use_canonical_bimodule(max_arity=int(data.get("max_arity", 5)))
+        s.use_canonical_bimodule(_section("max_arity", "an integer", lambda:
+                                          int(data.get("max_arity", 5))))
     return s
 
 
-def load_structures(path, validate=True):
+def load_structures(path):
+    """The structures of a JSON fixture, checked by `validate_structures`."""
     with open(path) as fh:
         data = json.load(fh)
-    s = structures_from_dict(data)
-    if validate:
-        validate_structures(s)
-    return s
+    return validate_structures(structures_from_dict(data))

@@ -147,9 +147,8 @@ def cell_generators(shape, which):
              for layer in q_cells(shape)], boundary_q)
 
 
-def homology_report(shape, which, max_leaves_cap=8):
-    n = leaf_count(corolla_of(shape))
-    if n > max_leaves_cap:
+def homology_report(shape, which):
+    if leaf_count(corolla_of(shape)) > 8:
         raise ValueError("shape class exceeds the size cap")
     keyed, bnd = cell_generators(shape, which)
     f_vector = tuple(len(layer) for layer in keyed)

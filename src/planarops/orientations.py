@@ -89,14 +89,8 @@ def pair_contract(sub, full):
         raise DiagramError("contraction of a non-subset")
     rest = [k for k in full.keys if k not in set(sub.keys)]
     target = list(sub.keys) + rest
-    # parity of rearranging full.keys into target
     index = {k: i for i, k in enumerate(full.keys)}
-    perm = [index[k] for k in target]
-    parity = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                parity = -parity
+    parity = perms.parity([index[k] for k in target])
     r = len(sub.keys)
     sign = sub.sign * full.sign * parity * (-1) ** (r * (r - 1) // 2)
     return Orientation(sign, tuple(rest))

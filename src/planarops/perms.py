@@ -7,20 +7,17 @@ def identity(n):
     return tuple(range(1, n + 1))
 
 
-def sign(perm):
-    seen = [False] * len(perm)
-    sgn = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn
+def parity(seq):
+    """(-1) to the number of inversions of `seq`."""
+    sign = 1
+    for i, a in enumerate(seq):
+        for b in seq[i + 1:]:
+            if a > b:
+                sign = -sign
+    return sign
+
+
+sign = parity        # the sign of a permutation is the parity of its images
 
 
 def compose(p, q):

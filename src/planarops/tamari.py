@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import (
-    INNER, MODULE, TREE, DiagramError, Diagram, ModuleVertex, ThinTree,
-    contract, edge_locs, edges, expansions_tagged, fmt, inner_diagram,
-    is_binary, module_diagram, shape_class, tree_diagram,
+    MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract, edge_locs,
+    edges, expansions_tagged, fmt, inner_diagram, is_binary, module_diagram,
+    shape_class, tree_diagram,
 )
 
 

@@ -439,7 +439,7 @@ def check_endomorphisms(cap):
     """Multiplicativity, fixture chain maps, tensor-product displays, and
     the degree-two pairing homotopy identity."""
     from .endo import (
-        check_rho20_identity, commutator, compose_at, eval_element,
+        MultiMap, check_rho20_identity, commutator, compose_at, eval_element,
         eval_generator, load_structures, maps_equal, pair_evaluate,
         tensor_structure,
     )
@@ -480,7 +480,6 @@ def check_endomorphisms(cap):
         pair = tensor_structure(sa, sb, max_mu=3, max_inner=1)
         mu2 = pair.mu_map(2)
         dim_b = sb.module.dim
-        from .endo import MultiMap
         expect = MultiMap(pair.module, 2, "module", 0)
         for (a1, a2), arow in sa.mu_map(2).entries.items():
             for (b1, b2), brow in sb.mu_map(2).entries.items():
@@ -494,10 +493,9 @@ def check_endomorphisms(cap):
         # the ternary display: left-comb (x) corolla + corolla (x) right-comb
         lc, rc, t3 = parse("((* *) *)"), parse("(* (* *))"), tree_corolla(3)
         display = pair_evaluate(
-            unit((c_generator(lc)[0], c_generator(t3)[0])), sa, sb,
-            3, "module", -1).plus(pair_evaluate(
-                unit((c_generator(t3)[0], c_generator(rc)[0])), sa, sb,
-                3, "module", -1))
+            unit((c_generator(lc)[0], c_generator(t3)[0])), sa, sb).plus(
+                pair_evaluate(unit((c_generator(t3)[0], c_generator(rc)[0])),
+                              sa, sb))
         if pair.mu_map(3).support() != display.support():
             return False, "ternary tensor multiplication display"
         if sb is mu3 and not pair.mu_map(3):
@@ -506,13 +504,8 @@ def check_endomorphisms(cap):
         for shape in shapes_up_to(cap5):
             for dia in class_diagrams(shape):
                 x = c_unit(dia)
-                arity = leaf_count(dia)
-                out = "scalar" if dia.kind == INNER else "module"
-                base = -degree(dia) if dia.kind != INNER \
-                    else sa.rho_degree + sb.rho_degree - degree(dia)
-                psi_x = pair_evaluate(delta_c(x), sa, sb, arity, out, base)
-                psi_dx = pair_evaluate(delta_c(boundary_c(x)), sa, sb,
-                                       arity, out, base + 1)
+                psi_x = pair_evaluate(delta_c(x), sa, sb)
+                psi_dx = pair_evaluate(delta_c(boundary_c(x)), sa, sb)
                 if not maps_equal(psi_dx, commutator(d_pair, psi_x)):
                     return False, "tensor evaluation chain relation at %s" \
                         % fmt(dia)
@@ -524,7 +517,7 @@ def check_endomorphisms(cap):
 
 def _random_structures(rng, degrees, max_mu=4):
     from fractions import Fraction
-    from .endo import GradedModule, MultiMap, StructureSet
+    from .endo import GradedModule, MultiMap, StructureSet, map_type
     module = GradedModule(tuple("b%d" % i for i in range(len(degrees))),
                           tuple(degrees))
     dim = len(degrees)
@@ -533,22 +526,15 @@ def _random_structures(rng, degrees, max_mu=4):
                   for i in range(dim) for j in range(dim)
                   if degrees[j] == degrees[i] + 1])
     s = StructureSet(module, d, name="random")
-    for k in range(2, max_mu + 1):
-        entries = []
-        for args in itertools.product(range(dim), repeat=k):
-            for out in range(dim):
-                if sum(degrees[a] for a in args) + 2 - k == degrees[out]:
-                    entries.append((args, {out: Fraction(rng.randint(-2, 2))}))
-        s.mu[k] = MultiMap(module, k, "module", 2 - k, entries)
-    for j in range(2):
-        for k in range(2 - j):
-            entries = []
-            for args in itertools.product(range(dim), repeat=j + k + 2):
-                if sum(degrees[a] for a in args) - j - k == 0:
-                    entries.append(
-                        (args, {None: Fraction(rng.randint(-2, 2))}))
-            s.rho[(j, k)] = MultiMap(module, j + k + 2, "scalar", -j - k,
-                                     entries)
+    outs = {"module": list(enumerate(degrees)), "scalar": [(None, 0)]}
+    for shape in (shapes_up_to(max_mu, kinds=(TREE,))
+                  + shapes_up_to(3, kinds=(INNER,))):
+        arity, out, deg = map_type(shape, s.rho_degree)
+        s.maps[shape] = MultiMap(module, arity, out, deg, [
+            (args, {o: Fraction(rng.randint(-2, 2))})
+            for args in itertools.product(range(dim), repeat=arity)
+            for o, o_deg in outs[out]
+            if sum(degrees[a] for a in args) + deg == o_deg])
     s.use_canonical_bimodule(max_mu + 2)
     return s
 

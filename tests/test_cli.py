@@ -184,3 +184,68 @@ def test_tensor_ainf_rejects_arities_below_two(capsys):
         assert code == 2, arity
         assert captured.out == ""
         assert "starts at arity 2" in captured.err, captured.err
+
+
+def test_repeated_orientation_edge_is_an_input_error(capsys):
+    from planarops.diagrams import DiagramError
+    literal = "(((* *) *) ; id ; [1-2, 1-2])"
+    with pytest.raises(DiagramError, match="each edge once"):
+        parse_generator(literal, "c")
+    for argv in (["qmap", literal], ["boundary", "q", literal]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert "each edge once" in captured.err, captured.err
+
+
+def test_leq_rejects_non_binary_diagrams_on_either_side(capsys):
+    for argv in (["leq", "(* * *)", "((* *) *)"],
+                 ["leq", "((* *) *)", "(* * *)"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert "need a binary diagram" in captured.err, captured.err
+
+
+def test_malformed_fixture_entries_name_their_section(capsys, tmp_path):
+    from pathlib import Path
+    fx = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"
+    base = json.loads((fx / "two_term.json").read_text())
+
+    def edit(section, key, value):
+        data = json.loads(json.dumps(base))
+        data[section][key] = value
+        return data
+
+    basis = [{"name": "u", "degree": 0}, {"name": "v", "degree": 1}]
+    cases = {
+        "mu_one_arg": (edit("mu", "2", [[["u"], "u", "1"]]), 'mu "2"',
+                       "arity 1, not 2"),
+        "d_two_fields": (dict(base, d=[["u", "v"]]), "d expects",
+                         '["src", "dst", "coef"]'),
+        "rho_one_arg": (edit("rho", "0,0", [[["u"], "1"]]), 'rho "0,0"',
+                        "arity 1, not 2"),
+        "rho_bad_key": (edit("rho", "0", [[["u", "v"], "1"]]), 'rho "0"',
+                        '"j,k"'),
+        "bad_coef": (edit("rho", "0,0", [[["u", "v"], "x"]]), 'rho "0,0"',
+                     '"coef"'),
+        "bad_degree": (dict(base, basis=[basis[0], dict(basis[1],
+                                                        degree="zero")]),
+                       "basis expects", '"degree"'),
+        "mu_not_object": (dict(base, mu=[1]), "mu expects", "an object"),
+        "bad_rho_degree": (dict(base, rho_degree="x"), "rho_degree",
+                           "an integer"),
+    }
+    for name, (data, section, form) in cases.items():
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(data))
+        code = main(["tensor-ainf", str(path), str(path), "--arity", "2"])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith("error: fixture: ") and section in err \
+            and form in err, (name, err)
+        for raw in ("relation fails", "unpack", "nvalid literal",
+                    "inhomogeneous", "int()"):
+            assert raw not in err, (name, err)

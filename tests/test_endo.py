@@ -23,8 +23,8 @@ from planarops.endo import (
 FIXTURES = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"
 
 
-def fixture(name, validate=True):
-    return load_structures(FIXTURES / ("%s.json" % name), validate=validate)
+def fixture(name):
+    return load_structures(FIXTURES / ("%s.json" % name))
 
 
 def random_structures(rng, degrees, max_mu=4, rho_degree=0, max_inner=1):
@@ -44,7 +44,8 @@ def random_structures(rng, degrees, max_mu=4, rho_degree=0, max_inner=1):
             for out in range(dim):
                 if sum(degrees[a] for a in args) + 2 - k == degrees[out]:
                     entries.append((args, {out: Fraction(rng.randint(-2, 2))}))
-        s.mu[k] = MultiMap(module, k, "module", 2 - k, entries)
+        s.maps[ShapeClass(TREE, (k,))] = MultiMap(module, k, "module", 2 - k,
+                                                  entries)
     for j in range(max_inner + 1):
         for k in range(max_inner + 1 - j):
             entries = []
@@ -52,8 +53,8 @@ def random_structures(rng, degrees, max_mu=4, rho_degree=0, max_inner=1):
                 if sum(degrees[a] for a in args) + rho_degree - j - k == 0:
                     entries.append(
                         (args, {None: Fraction(rng.randint(-2, 2))}))
-            s.rho[(j, k)] = MultiMap(module, j + k + 2, "scalar",
-                                     rho_degree - j - k, entries)
+            s.maps[ShapeClass(INNER, (j, k))] = MultiMap(
+                module, j + k + 2, "scalar", rho_degree - j - k, entries)
     s.use_canonical_bimodule(max_mu + 2)
     return s
 
@@ -104,6 +105,48 @@ def test_eval_is_multiplicative_on_random_draws():
                 continue
             rhs = compose_at(fx, i, fy)
             assert lhs == rhs
+
+
+def _relabeled_draws():
+    """(draws, failures) of multiplicativity on draws whose outer generator
+    carries a random labeling, so sigma_sharp meets non-rotations."""
+    from planarops.verify import _random_structures
+    rng = random.Random(2024)
+    pool = [tree_corolla(2), tree_corolla(3), parse("((* *) *)"),
+            module_corolla(1, 1), module_corolla(1, 0),
+            inner_corolla(1, 0), inner_corolla(0, 0)]
+    draws = failures = 0
+    for _ in range(20):
+        s = _random_structures(rng, (0, 1))
+        for _ in range(4):
+            xd = rng.choice(pool)
+            yd = rng.choice([p for p in pool if p.kind != INNER])
+            n = leaf_count(xd)
+            x = c_generator(xd, tuple(rng.sample(range(1, n + 1), n)))[0]
+            y = c_generator(yd)[0]
+            i = rng.randint(1, n)
+            xy = compose_c(x, i, y)
+            if xy:
+                draws += 1
+                failures += eval_element(xy, s) != compose_at(
+                    eval_generator(x, s), i, eval_generator(y, s))
+    return draws, failures
+
+
+def test_eval_is_multiplicative_on_relabeled_draws():
+    draws, failures = _relabeled_draws()
+    assert draws >= 30 and failures == 0, (draws, failures)
+
+
+def test_sigma_sharp_koszul_sign_is_load_bearing(monkeypatch):
+    # mutation check: sigma_sharp without its Koszul sign must fail the
+    # relabeled draws (the identity-labeled draws above do not notice)
+    from types import SimpleNamespace
+    from planarops import endo, perms
+    monkeypatch.setattr(endo, "perms", SimpleNamespace(
+        **{**vars(perms), "parity": lambda seq: 1}))
+    _draws, failures = _relabeled_draws()
+    assert failures > 0
 
 
 def test_eval_respects_the_action():
@@ -225,10 +268,10 @@ def test_phi3_support_matches_display():
     rc = eval_generator(c_generator(parse("(* (* *))"))[0], sb)
     t1 = pair_evaluate(unit((c_generator(parse("((* *) *)"))[0],
                              c_generator(tree_corolla(3))[0])),
-                       sa, sb, 3, "module", -1)
+                       sa, sb)
     t2 = pair_evaluate(unit((c_generator(tree_corolla(3))[0],
                              c_generator(parse("(* (* *))"))[0])),
-                       sa, sb, 3, "module", -1)
+                       sa, sb)
     assert phi3.support() == t1.plus(t2).support()
 
 
@@ -280,11 +323,6 @@ def test_tensor_psi_intertwines_differentials():
     for d in all_generators(4):
         x = c_unit(d)
         shape = None
-        arity = leaf_count(d)
-        out = "scalar" if d.kind == INNER else "module"
-        base = -degree(d) if d.kind != INNER \
-            else sa.rho_degree + sb.rho_degree - degree(d)
-        psi_x = pair_evaluate(delta_c(x), sa, sb, arity, out, base)
-        psi_dx = pair_evaluate(delta_c(boundary_c(x)), sa, sb, arity, out,
-                               base + 1)
+        psi_x = pair_evaluate(delta_c(x), sa, sb)
+        psi_dx = pair_evaluate(delta_c(boundary_c(x)), sa, sb)
         assert maps_equal(psi_dx, commutator(pair_d, psi_x)), d

@@ -89,3 +89,35 @@ def test_each_composition_sign_term_is_load_bearing(monkeypatch, term):
     finally:
         _clear_sign_caches()
     assert not ok, term
+
+
+_PAIR_CONTRACT = orientations.pair_contract
+
+
+def _contract_without_rr1(sub, full):
+    """pair_contract with its (-1)^(r(r-1)/2) term undone."""
+    o = _PAIR_CONTRACT(sub, full)
+    r = len(sub.keys)
+    return orientations.Orientation(o.sign * (-1) ** (r * (r - 1) // 2),
+                                    o.keys)
+
+
+@pytest.mark.parametrize("mutant", ["reorder parity", "r(r-1)/2"])
+def test_pair_contract_signs_are_load_bearing(monkeypatch, mutant):
+    # mutation check: the induced orientation omega_sd ends in pair_contract;
+    # dropping either of its signs must make the chain-map check fail
+    from types import SimpleNamespace
+    from planarops import perms
+    _clear_sign_caches()
+    try:
+        with monkeypatch.context() as patch:
+            if mutant == "reorder parity":
+                patch.setattr(orientations, "perms", SimpleNamespace(
+                    **{**vars(perms), "parity": lambda seq: 1}))
+            else:
+                patch.setattr(orientations, "pair_contract",
+                              _contract_without_rr1)
+            ok, _detail = verify.check_chain_maps(5)
+    finally:
+        _clear_sign_caches()
+    assert not ok, mutant
