@@ -6,7 +6,15 @@ its cubical refinement whose cells are diagrams with a subset of edges
 marked metric, graded by the number of metric edges.  Boundary matrices are
 assembled from the operad differentials and ranks are computed by
 fraction-free sparse elimination over the integers, so a vanishing Betti
-number is exact.
+number is exact (over the rationals: torsion is not detected).
+
+`sparse_rank` picks each pivot by the Markowitz rule: the least key
+(|v| != 1, (row length - 1) * (column count - 1), |v|), so a unit entry with
+little fill-in first.  Rows are scanned shortest first, and the scan stops
+after the first row once the best pivot so far is a unit whose cost is at
+most 4 times that row's length.  The candidates live in an index of the
+rows not yet eliminated, keyed by length, which each elimination step
+updates only for the rows whose length it changes.
 """
 
 from __future__ import annotations
@@ -46,42 +54,64 @@ def _normalize_row(row):
             row[c] //= g
 
 
+def _pivot(rows, col_rows, by_length):
+    """The pivot (row, column) by the Markowitz rule of the module
+    docstring; `by_length` must hold at least one row."""
+    best_key, best = (True, float("inf"), 0), None
+    for length in sorted(by_length):
+        fill = length - 1
+        for ri in by_length[length]:
+            for c, v in rows[ri].items():
+                size = abs(v)
+                key = (size != 1, fill * (len(col_rows[c]) - 1), size)
+                if key < best_key:
+                    best_key, best = key, (ri, c)
+            if not best_key[0] and best_key[1] <= 4 * length:
+                return best
+    return best
+
+
+def _move(by_length, ri, old, new):
+    """Re-file row `ri` from length `old` to `new` (0 drops it)."""
+    bucket = by_length[old]
+    del bucket[ri]
+    if not bucket:
+        del by_length[old]
+    if new:
+        by_length.setdefault(new, {})[ri] = None
+
+
 def sparse_rank(rows):
-    """Rank of an integer matrix given as row dictionaries {col: value}."""
+    """Rank of an integer matrix given as row dictionaries {col: value}.
+
+    Fraction-free elimination over the integers.  Each pivot follows the
+    Markowitz rule (least (|v| != 1, fill-in cost, |v|), rows scanned
+    shortest first, stop once a unit pivot costs at most 4 * the row's
+    length).  The rows not yet eliminated are indexed by their length,
+    `{length: {row: None}}` in insertion order: a row is re-filed only
+    when an elimination step changes its length, and leaves the index when
+    it becomes the pivot or empties.  A row longer than 8 is divided by the
+    gcd of its entries after each step.
+    """
     rows = [dict(r) for r in rows if r]
     col_rows = {}
+    by_length = {}
     for ri, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, set()).add(ri)
-    active = set(range(len(rows)))
+        by_length.setdefault(len(row), {})[ri] = None
     rank = 0
-    by_length = sorted(active, key=lambda ri: len(rows[ri]))
-    while active:
-        # cheapest pivot: unit value first, then least fill-in; scanning
-        # rows shortest-first lets us stop at the first good-enough one
-        best = None
-        by_length = [ri for ri in by_length if ri in active and rows[ri]]
-        by_length.sort(key=lambda ri: len(rows[ri]))
-        for ri in by_length:
-            row = rows[ri]
-            for c, v in row.items():
-                key = (abs(v) != 1, (len(row) - 1) * (len(col_rows[c]) - 1),
-                       abs(v))
-                if best is None or key < best[0]:
-                    best = (key, ri, c)
-            if best and not best[0][0] and best[0][1] <= 4 * len(row):
-                break
-        if best is None:
-            break
-        _key, pi, pc = best
+    while by_length:
+        pi, pc = _pivot(rows, col_rows, by_length)
         rank += 1
-        active.discard(pi)
         prow = rows[pi]
+        _move(by_length, pi, len(prow), 0)
+        for c in prow:
+            col_rows[c].discard(pi)
         pval = prow[pc]
-        for ri in list(col_rows.get(pc, ())):
-            if ri == pi or ri not in active:
-                continue
+        for ri in list(col_rows[pc]):
             row = rows[ri]
+            old = len(row)
             f = row[pc]
             g = gcd(pval, f)
             a, b = pval // g, f // g
@@ -92,17 +122,14 @@ def sparse_rank(rows):
                 new = row.get(c, 0) - b * v
                 if new:
                     row[c] = new
-                    col_rows.setdefault(c, set()).add(ri)
+                    col_rows[c].add(ri)
                 elif c in row:
                     del row[c]
                     col_rows[c].discard(ri)
             if len(row) > 8:
                 _normalize_row(row)
-            if not row:
-                active.discard(ri)
-        for c in prow:
-            col_rows[c].discard(pi)
-        prow.clear()
+            if len(row) != old:
+                _move(by_length, ri, old, len(row))
     return rank
 
 

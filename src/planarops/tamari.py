@@ -154,10 +154,14 @@ def _descendants(b):
 
 
 def leq(b1, b2):
-    """Reachability of b2 from b1 by upward moves."""
+    """Reachability of b2 from b1 by upward moves; both must be binary."""
     if shape_class(b1) != shape_class(b2):
         raise DiagramError("cannot compare diagrams of different shapes")
-    return b2 in _descendants(b1)
+    if b2 in _descendants(b1):      # raises on a non-binary b1
+        return True
+    if not is_binary(b2):           # a reachable b2 is binary already
+        raise DiagramError("covers and cocovers need a binary diagram")
+    return False
 
 
 def _min_thin(t, comb):

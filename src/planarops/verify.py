@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
+from traceback import format_exc
 
 from . import perms
 from .diagrams import (
@@ -42,11 +43,19 @@ class CheckResult:
     ok: bool
     detail: str
     seconds: float
+    traceback: str | None = None    # set when the check crashed
 
     def line(self):
         status = "PASS" if self.ok else "FAIL"
         return "%s  %-38s %s  [%.1fs]" % (status, self.name, self.detail,
                                           self.seconds)
+
+    def record(self):
+        """The JSON record; it has a "traceback" key only after a crash."""
+        out = asdict(self)
+        if self.traceback is None:
+            del out["traceback"]
+        return out
 
 
 def class_diagrams(shape):
@@ -558,12 +567,12 @@ def run_checks(max_leaves):
     if max_leaves < 4:
         raise ValueError("the suite needs a cap of at least 4 leaves")
     for name, fn in CHECKS:
-        t0 = time.time()
+        t0, trace = time.time(), None
         try:
             ok, detail = fn(max_leaves)
         except Exception as exc:   # a crash is a failure, not an abort
-            ok, detail = False, "error: %s" % exc
-        yield CheckResult(name, ok, detail, time.time() - t0)
+            ok, detail, trace = False, "error: %s" % exc, format_exc()
+        yield CheckResult(name, ok, detail, time.time() - t0, trace)
 
 
 def run_suite(max_leaves, emit=print):
@@ -571,6 +580,8 @@ def run_suite(max_leaves, emit=print):
     failures = 0
     for result in run_checks(max_leaves):
         emit(result.line())
+        if result.traceback:
+            emit(result.traceback.rstrip("\n"))
         failures += not result.ok
     emit("%d/%d suites passed" % (len(CHECKS) - failures, len(CHECKS)))
     return failures

@@ -146,6 +146,20 @@ def test_verify_json(capsys):
     assert data["passed"] == len(CHECKS)
 
 
+def test_verify_json_carries_the_traceback_of_a_crash(capsys, monkeypatch):
+    from planarops import verify
+
+    def crashing(max_leaves):
+        raise ZeroDivisionError("no generators")
+
+    monkeypatch.setattr(verify, "CHECKS", [("crashing", crashing)])
+    code, out = run(capsys, "verify", "--max-leaves", "4", "--format", "json")
+    (check,) = json.loads(out)["checks"]
+    assert code == 1
+    assert check["ok"] is False and check["detail"] == "error: no generators"
+    assert "ZeroDivisionError: no generators" in check["traceback"]
+
+
 def test_malformed_fixtures_are_input_errors(capsys, tmp_path):
     good = {"name": "g", "basis": [{"name": "u", "degree": 0}], "d": [],
             "mu": {"2": [[["u", "u"], "u", "1"]]}}

@@ -65,6 +65,13 @@ def test_leq_shape_mismatch():
         leq(dmin(tree_corolla(3)), dmin(tree_corolla(4)))
 
 
+def test_leq_rejects_a_non_binary_diagram_on_either_side():
+    binary, corolla = parse("((* *) *)"), parse("(* * *)")
+    for b1, b2 in ((corolla, binary), (binary, corolla)):
+        with pytest.raises(DiagramError, match="need a binary diagram"):
+            leq(b1, b2)
+
+
 def test_dmin_dmax_of_corollas():
     assert dmin(tree_corolla(4)) == parse("(((* *) *) *)")
     assert dmax(tree_corolla(4)) == parse("(* (* (* *)))")

@@ -19,6 +19,22 @@ def test_run_suite_rejects_tiny_cap():
         verify.run_suite(3)
 
 
+def _crashing_check(max_leaves):
+    raise KeyError("lost generator")
+
+
+def test_run_suite_keeps_the_traceback_of_a_crash(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", [("crashing", _crashing_check)])
+    (result,) = verify.run_checks(4)
+    assert not result.ok and result.detail == "error: 'lost generator'"
+    assert "_crashing_check" in result.traceback
+    assert result.traceback.rstrip().endswith("KeyError: 'lost generator'")
+    assert verify.run_suite(4) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(result.line().split("[")[0])
+    assert 'raise KeyError("lost generator")' in out
+
+
 def test_flipped_composition_sign_fails_chain_maps():
     # mutation check: corrupting the composition sign must not go unnoticed
     original = operad_c.compose_c
