@@ -15,7 +15,9 @@ as DOT with ``--dot``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import perms
@@ -366,6 +368,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
+    except BrokenPipeError:
+        # the reader went away (`planarops ... | head`): exit quietly as
+        # SIGPIPE would, with stdout on devnull so the exit flush is silent
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DiagramError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -33,6 +33,12 @@ class StructureError(ValueError):
     pass
 
 
+def neg_one_pow(n):
+    """(-1)^n as an int for every integer n; `(-1) ** n` is a float when
+    n < 0, and degrees here can be negative."""
+    return -1 if n % 2 else 1
+
+
 @dataclass(frozen=True)
 class GradedModule:
     names: tuple
@@ -148,7 +154,8 @@ def compose_at(f, i, g):
         for g_args, g_out, g_c in g.items():
             if f_args[i - 1] != g_out:
                 continue
-            sign = (-1) ** (g.degree * sum(degs[a] for a in f_args[:i - 1]))
+            sign = neg_one_pow(
+                g.degree * sum(degs[a] for a in f_args[:i - 1]))
             args = f_args[:i - 1] + g_args + f_args[i:]
             out._add(args, {f_out: f_c * g_c * sign})
     return out
@@ -180,7 +187,8 @@ def rotate_last_to_front(f):
     for f_args, f_out, f_c in f.items():
         # f saw (x_k, x_1, ..., x_{k-1}); the outer map's arguments are x
         x = f_args[1:] + f_args[:1]
-        sign = (-1) ** (degs[f_args[0]] * sum(degs[a] for a in f_args[1:]))
+        sign = neg_one_pow(
+            degs[f_args[0]] * sum(degs[a] for a in f_args[1:]))
         out._add(x, {f_out: f_c * sign})
     return out
 
@@ -195,7 +203,7 @@ def precompose_differential(f, d):
             row = d_entries.get(args[i])
             if not row:
                 continue
-            sign = (-1) ** sum(degs[a] for a in args[:i])
+            sign = neg_one_pow(sum(degs[a] for a in args[:i]))
             for mid, c in row.items():
                 f_row = f.entries.get(args[:i] + (mid,) + args[i + 1:])
                 if f_row:
@@ -212,7 +220,8 @@ def commutator(d, f):
         d_row = d_rows.get(o)        # None for the output of a scalar map
         if d_row:
             lhs._add(args, {o2: c * dc for o2, dc in d_row.items()})
-    return lhs.plus(precompose_differential(f, d).scale(-((-1) ** f.degree)))
+    return lhs.plus(
+        precompose_differential(f, d).scale(-neg_one_pow(f.degree)))
 
 
 def _all_tuples(module, arity):
@@ -433,7 +442,7 @@ def pair_evaluate(tensor_elem, sa, sb):
                               fa.degree + fb.degree)
         for a_args, a_out, a_c in fa.items():
             deg_a_total = sum(ma.degrees[a] for a in a_args)
-            koszul = (-1) ** (fb.degree * deg_a_total)
+            koszul = neg_one_pow(fb.degree * deg_a_total)
             for b_args, b_out, b_c in fb.items():
                 args = tuple(a * dim_b + b for a, b in zip(a_args, b_args))
                 sign = koszul * _pair_sign(ma.degrees, mb.degrees,
@@ -456,7 +465,7 @@ def tensor_structure(sa, sb, max_mu=3, max_inner=2):
             d._add((src * dim_b + b,), {o * dim_b + b: c})
     for (src,), o, c in sb.d.items():
         for a, deg in enumerate(sa.module.degrees):
-            d._add((a * dim_b + src,), {a * dim_b + o: c * (-1) ** deg})
+            d._add((a * dim_b + src,), {a * dim_b + o: c * neg_one_pow(deg)})
 
     out = StructureSet(mod, d, name="%s(x)%s" % (sa.name, sb.name),
                        rho_degree=sa.rho_degree + sb.rho_degree)

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -263,3 +265,14 @@ def test_malformed_fixture_entries_name_their_section(capsys, tmp_path):
         for raw in ("relation fails", "unpack", "nvalid literal",
                     "inhomogeneous", "int()"):
             assert raw not in err, (name, err)
+
+
+def test_broken_pipe_exits_quietly(capsys, monkeypatch):
+    # `planarops ... | head`: the reader closes the pipe before the output
+    # is written; no error message, and the exit code of SIGPIPE
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["enumerate", "I1,1", "0"]) == 141
+    assert capsys.readouterr().err == ""

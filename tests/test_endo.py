@@ -326,3 +326,14 @@ def test_tensor_psi_intertwines_differentials():
         psi_x = pair_evaluate(delta_c(x), sa, sb)
         psi_dx = pair_evaluate(delta_c(boundary_c(x)), sa, sb)
         assert maps_equal(psi_dx, commutator(pair_d, psi_x)), d
+
+
+def test_tensor_structure_coefficients_are_exact():
+    # two_term has a degree -1 basis element, and a sign (-1) ** n with a
+    # negative n would be a float
+    pair = tensor_structure(fixture("two_term"), fixture("two_term"),
+                            max_mu=3, max_inner=2)
+    coefs = [c for m in [pair.d, *pair.maps.values()]
+             for _args, _out, c in m.items()]
+    assert coefs
+    assert all(type(c) in (int, Fraction) for c in coefs)

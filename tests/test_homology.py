@@ -2,9 +2,10 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from planarops.diagrams import INNER, MODULE, TREE, ShapeClass
+from planarops.diagrams import INNER, MODULE, TREE, ShapeClass, shapes_up_to
 from planarops.homology import (
-    homology_report, is_contractible, sparse_rank,
+    ComplexReport, collapse, collapsed_betti, homology_report,
+    is_contractible, sparse_rank,
 )
 
 
@@ -79,15 +80,11 @@ def test_i20_cubical_subdivision():
 
 
 def test_small_classes_contractible():
-    shapes = [ShapeClass(TREE, (n,)) for n in (3, 4, 5)]
-    shapes += [ShapeClass(MODULE, (j, k)) for j in range(3) for k in range(3)
-               if 1 <= j + k <= 3]
-    shapes += [ShapeClass(INNER, (j, k)) for j in range(3) for k in range(3)
-               if j + k <= 3]
-    for shape in shapes:
+    # every class up to 6 leaves, both models, collapses to one vertex
+    for shape in shapes_up_to(6):
         for which in ("c", "q"):
             rep = homology_report(shape, which)
-            assert is_contractible(rep), (shape, which, rep.betti)
+            assert is_contractible(rep), (shape, which, rep.critical)
             assert rep.euler == 1
 
 
@@ -103,3 +100,37 @@ def test_sparse_rank_ignores_row_and_column_order(rows, data):
     col_order = data.draw(st.permutations(range(ncols)))
     shuffled = [[rows[r][c] for c in col_order] for r in row_order]
     assert sparse_rank(sparse(shuffled)) == sparse_rank(sparse(rows))
+
+
+# --- elementary collapses -------------------------------------------------
+
+def hand_made(f_vector, matrices):
+    """The report of a complex given by its boundary matrices."""
+    critical, betti = collapsed_betti(f_vector, matrices)
+    euler = sum((-1) ** d * f for d, f in enumerate(f_vector))
+    return ComplexReport(None, "c", f_vector, betti, euler, critical)
+
+
+def test_collapse_removes_a_unit_pair():
+    # an interval: two vertices, one edge with boundary v1 - v0
+    assert collapse((2, 1), [[{0: -1}, {0: 1}]]) == [[1], []]
+    assert is_contractible(hand_made((2, 1), [[{0: -1}, {0: 1}]]))
+
+
+def test_collapse_keeps_a_face_with_two_cofaces():
+    # a circle: two edges, both with boundary v1 - v0
+    circle = [[{0: -1, 1: -1}, {0: 1, 1: 1}]]
+    assert collapse((2, 2), circle) == [[0, 1], [0, 1]]
+    rep = hand_made((2, 2), circle)
+    assert rep.betti == (1, 1) and not is_contractible(rep)
+
+
+def test_collapse_keeps_a_coefficient_of_two():
+    # the real projective plane: de = 0, df = 2e; rationally acyclic, but
+    # its H_1 over the integers is Z/2, and no collapse may remove it
+    rp2 = [[{}], [{0: 2}]]
+    assert collapse((1, 1, 1), rp2) == [[0], [0], [0]]
+    rep = hand_made((1, 1, 1), rp2)
+    assert rep.critical == (1, 1, 1)
+    assert rep.betti == (1, 0, 0)
+    assert not is_contractible(rep)

@@ -137,3 +137,15 @@ def test_pair_contract_signs_are_load_bearing(monkeypatch, mutant):
     finally:
         _clear_sign_caches()
     assert not ok, mutant
+
+
+def test_check_endomorphisms_sees_the_sigma_sharp_koszul_sign(monkeypatch):
+    # mutation check: the draws of check_endomorphisms carry random
+    # labelings, so sigma_sharp without its Koszul sign must fail them
+    from types import SimpleNamespace
+    from planarops import endo, perms
+    monkeypatch.setattr(endo, "perms", SimpleNamespace(
+        **{**vars(perms), "parity": lambda seq: 1}))
+    ok, detail = verify.check_endomorphisms(4)
+    assert not ok
+    assert "multiplicativity" in detail
