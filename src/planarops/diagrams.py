@@ -28,12 +28,24 @@ Conventions pinned here and validated by the test suite:
 * lower forests of an inner diagram are stored as walked (right to left in
   the drawing), while the sequence of lower trees itself is kept in drawing
   order, so the boundary walk traverses ``reversed(down)``.
+
+Nodes are interned (hash-consed): ``ThinTree``, ``ModuleVertex``,
+``InnerData`` and ``Diagram`` each keep one table from their fields to the
+node, so structurally equal nodes are one object and equal means identical.
+Nodes are immutable, and copying or unpickling one returns the interned node.
+Each node carries its leaf count from construction (``leaves``; a module
+vertex ``nleft`` and ``nright`` for its two forests).  Hashes stay
+structural, so set order repeats across interpreters under a fixed
+``PYTHONHASHSEED``.  ``graft`` is memoized on (host, leaf, guest): its
+bookkeeping self-check runs once per distinct triple, and the maps of the
+shared ``Graft`` it returns are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 THIN = 1
 THICK = 2
@@ -52,23 +64,67 @@ class ColorMismatch(DiagramError):
     """Raised when a graft target leaf and the grafted root disagree."""
 
 
-@dataclass(frozen=True, eq=False)
-class ThinTree:
-    children: tuple["ThinTree", ...] = ()
+# ---------------------------------------------------------------------------
+# interned nodes
 
-    def __post_init__(self):
-        if len(self.children) == 1:
-            raise DiagramError("thin vertex needs at least 2 children")
-        object.__setattr__(self, "_hash", hash(("t", self.children)))
+class _Node:
+    """Base of the four node classes.  Each class keeps one table from its
+    fields to its node, and constructing a node that exists returns it, so
+    equal nodes are identical and `==` is `is`.  The hash is structural, not
+    `id`-based: set and dict order then repeat across interpreters under a
+    fixed PYTHONHASHSEED."""
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    @classmethod
+    def _build(cls, values, hashed, **counts):
+        """Make, store and return the node with fields `values`; `hashed`
+        is the tuple its hash is taken of, `counts` its leaf counts."""
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        for name, value in counts.items():
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_hash", hash(hashed))
+        cls._table[values] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s nodes are immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s nodes are immutable" % type(self).__name__)
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, ThinTree)
-                    and self._hash == other._hash
-                    and self.children == other.children))
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the node through its table
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class ThinTree(_Node):
+    __slots__ = ("children", "leaves")
+    _fields = ("children",)
+
+    def __new__(cls, children=()):
+        values = (children,)
+        node = cls._table.get(values)
+        if node is None:
+            if len(children) == 1:
+                raise DiagramError("thin vertex needs at least 2 children")
+            node = cls._build(values, ("t", children),
+                              leaves=sum(c.leaves for c in children) or 1)
+        return node
 
     @property
     def is_leaf(self):
@@ -78,68 +134,52 @@ class ThinTree:
 LEAF = ThinTree()
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleVertex:
-    left: tuple[ThinTree, ...] = ()
-    right: tuple[ThinTree, ...] = ()
+class ModuleVertex(_Node):
+    """`nleft` and `nright` count the leaves of the two forests."""
 
-    def __post_init__(self):
-        if len(self.left) + len(self.right) < 1:
-            raise DiagramError("module vertex needs at least one thin tree")
-        object.__setattr__(self, "_hash", hash(("v", self.left, self.right)))
+    __slots__ = ("left", "right", "nleft", "nright")
+    _fields = ("left", "right")
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, ModuleVertex)
-                    and self._hash == other._hash
-                    and self.left == other.left
-                    and self.right == other.right))
+    def __new__(cls, left=(), right=()):
+        values = (left, right)
+        node = cls._table.get(values)
+        if node is None:
+            if len(left) + len(right) < 1:
+                raise DiagramError("module vertex needs at least one thin tree")
+            node = cls._build(values, ("v",) + values,
+                              nleft=sum(t.leaves for t in left),
+                              nright=sum(t.leaves for t in right))
+        return node
 
 
-@dataclass(frozen=True, eq=False)
-class InnerData:
-    left_arm: tuple[ModuleVertex, ...]
-    up: tuple[ThinTree, ...]
-    right_arm: tuple[ModuleVertex, ...]
-    down: tuple[ThinTree, ...]
+class InnerData(_Node):
+    __slots__ = ("left_arm", "up", "right_arm", "down", "leaves")
+    _fields = ("left_arm", "up", "right_arm", "down")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            ("i", self.left_arm, self.up, self.right_arm, self.down)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, InnerData)
-                    and self._hash == other._hash
-                    and self.left_arm == other.left_arm
-                    and self.up == other.up
-                    and self.right_arm == other.right_arm
-                    and self.down == other.down))
+    def __new__(cls, left_arm, up, right_arm, down):
+        values = (left_arm, up, right_arm, down)
+        node = cls._table.get(values)
+        if node is None:
+            node = cls._build(values, ("i",) + values, leaves=(
+                2 + sum(v.nleft + v.nright for v in left_arm + right_arm)
+                + sum(t.leaves for t in up + down)))
+        return node
 
 
-@dataclass(frozen=True, eq=False)
-class Diagram:
-    kind: str
-    payload: object
+class Diagram(_Node):
+    __slots__ = ("kind", "payload", "leaves")
+    _fields = ("kind", "payload")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.payload)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (self is other
-                or (isinstance(other, Diagram)
-                    and self._hash == other._hash
-                    and self.kind == other.kind
-                    and self.payload == other.payload))
+    def __new__(cls, kind, payload):
+        values = (kind, payload)
+        node = cls._table.get(values)
+        if node is None:
+            if kind == MODULE:
+                leaves = 1 + sum(v.nleft + v.nright for v in payload)
+            else:
+                leaves = payload.leaves
+            node = cls._build(values, values, leaves=leaves)
+        return node
 
     def __repr__(self):
         return "Diagram(%r)" % fmt(self)
@@ -315,24 +355,8 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # leaves, colors, degrees
 
-def _thin_leaf_count(t):
-    if t.is_leaf:
-        return 1
-    return sum(_thin_leaf_count(c) for c in t.children)
-
-
-def _stack_leaf_count(stack):
-    return 1 + sum(_thin_leaf_count(t) for v in stack for t in v.left + v.right)
-
-
 def leaf_count(d):
-    if d.kind == TREE:
-        return _thin_leaf_count(d.payload)
-    if d.kind == MODULE:
-        return _stack_leaf_count(d.payload)
-    inn = d.payload
-    return (_stack_leaf_count(inn.left_arm) + _stack_leaf_count(inn.right_arm)
-            + sum(_thin_leaf_count(t) for t in inn.up + inn.down))
+    return d.leaves
 
 
 def edge_count(d):
@@ -353,20 +377,15 @@ def is_corolla(d):
 
 def shape_class(d):
     if d.kind == TREE:
-        return ShapeClass(TREE, (leaf_count(d),))
+        return ShapeClass(TREE, (d.leaves,))
     if d.kind == MODULE:
-        j = k = 0
-        for v in d.payload:
-            j += sum(_thin_leaf_count(t) for t in v.left)
-            k += sum(_thin_leaf_count(t) for t in v.right)
-        return ShapeClass(MODULE, (j, k))
+        return ShapeClass(MODULE, (sum(v.nleft for v in d.payload),
+                                   sum(v.nright for v in d.payload)))
     inn = d.payload
-    j = sum(_thin_leaf_count(t) for t in inn.up)
-    j += sum(_thin_leaf_count(t) for v in inn.left_arm for t in v.right)
-    j += sum(_thin_leaf_count(t) for v in inn.right_arm for t in v.left)
-    k = sum(_thin_leaf_count(t) for t in inn.down)
-    k += sum(_thin_leaf_count(t) for v in inn.left_arm for t in v.left)
-    k += sum(_thin_leaf_count(t) for v in inn.right_arm for t in v.right)
+    j = (sum(t.leaves for t in inn.up) + sum(v.nright for v in inn.left_arm)
+         + sum(v.nleft for v in inn.right_arm))
+    k = (sum(t.leaves for t in inn.down) + sum(v.nleft for v in inn.left_arm)
+         + sum(v.nright for v in inn.right_arm))
     return ShapeClass(INNER, (j, k))
 
 
@@ -864,13 +883,16 @@ def expansions(d):
 
 @dataclass(frozen=True)
 class Graft:
+    """A memoized graft; its maps are read-only views, shared by every
+    caller that grafts the same (host, leaf, guest)."""
+
     diagram: Diagram
     new_edge: frozenset
-    host_pos: dict        # host leaf position -> composite position (graft leaf dropped)
-    guest_pos: dict       # guest leaf position -> composite position
-    host_edges: dict      # host edge key -> composite edge key
-    guest_edges: dict     # guest edge key -> composite edge key
-    rot: int              # cyclic shift applied to the spliced leaf order
+    host_pos: MappingProxyType     # host leaf position -> composite position (graft leaf dropped)
+    guest_pos: MappingProxyType    # guest leaf position -> composite position
+    host_edges: MappingProxyType   # host edge key -> composite edge key
+    guest_edges: MappingProxyType  # guest edge key -> composite edge key
+    rot: int                       # cyclic shift applied to the spliced leaf order
 
 
 def _splice_structure(d, pos, e):
@@ -887,8 +909,13 @@ def _splice_structure(d, pos, e):
     return _with_stack(d, wrap, _stack_at(d, wrap) + e.payload)
 
 
+@lru_cache(maxsize=None)
 def graft(d, pos, e):
-    """Attach the root of `e` to leaf `pos` of `d` (spec operation)."""
+    """Attach the root of `e` to leaf `pos` of `d` (spec operation).
+
+    Memoized: the bookkeeping self-check below runs once per distinct
+    (d, pos, e), and later calls return the same `Graft`.
+    """
     if e.kind == INNER:
         raise ColorMismatch("inner-product diagrams cannot be grafted")
     k, l = leaf_count(d), leaf_count(e)
@@ -922,8 +949,9 @@ def graft(d, pos, e):
     actual = set(edge_locs(composite))
     if expected != actual:
         raise DiagramError("graft bookkeeping failed on %s" % fmt(composite))
-    return Graft(composite, guest_all, host_pos, guest_pos,
-                 host_edges, guest_edges, rot)
+    return Graft(composite, guest_all, MappingProxyType(host_pos),
+                 MappingProxyType(guest_pos), MappingProxyType(host_edges),
+                 MappingProxyType(guest_edges), rot)
 
 
 def labeled_graft(x, i, y):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from .diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, shape_class, shapes_up_to,
@@ -194,21 +193,25 @@ def rotate_last_to_front(f):
 
 
 def precompose_differential(f, d):
-    """f o d_tensor, the sum over inputs with Koszul signs."""
+    """f o d_tensor, the sum over inputs with Koszul signs.
+
+    Walks the entries of `f` against the transpose of `d`: an entry at
+    args with args[i] = mid meets every src with d(src) containing mid."""
     degs = f.module.degrees
     out = MultiMap(f.module, f.arity, f.out, f.degree + 1)
-    d_entries = {args[0]: row for args, row in d.entries.items()}
-    for args in _all_tuples(f.module, f.arity):
-        for i in range(f.arity):
-            row = d_entries.get(args[i])
-            if not row:
+    d_into = {}                     # mid -> [(src, c)] with d(src) = ... + c mid
+    for (src,), row in d.entries.items():
+        for mid, c in row.items():
+            d_into.setdefault(mid, []).append((src, c))
+    for f_args, f_row in f.entries.items():
+        for i, mid in enumerate(f_args):
+            sources = d_into.get(mid)
+            if not sources:
                 continue
-            sign = neg_one_pow(sum(degs[a] for a in args[:i]))
-            for mid, c in row.items():
-                f_row = f.entries.get(args[:i] + (mid,) + args[i + 1:])
-                if f_row:
-                    out._add(args, {o: fc * c * sign
-                                    for o, fc in f_row.items()})
+            sign = neg_one_pow(sum(degs[a] for a in f_args[:i]))
+            for src, c in sources:
+                out._add(f_args[:i] + (src,) + f_args[i + 1:],
+                         {o: fc * c * sign for o, fc in f_row.items()})
     return out
 
 
@@ -222,10 +225,6 @@ def commutator(d, f):
             lhs._add(args, {o2: c * dc for o2, dc in d_row.items()})
     return lhs.plus(
         precompose_differential(f, d).scale(-neg_one_pow(f.degree)))
-
-
-def _all_tuples(module, arity):
-    return product(range(module.dim), repeat=arity)
 
 
 # ---------------------------------------------------------------------------

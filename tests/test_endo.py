@@ -15,7 +15,8 @@ from planarops.diagonal import delta_c
 from planarops.endo import (
     GradedModule, MultiMap, StructureError, StructureSet, commutator,
     compose_at, eval_element, eval_generator, load_structures, maps_equal,
-    pair_evaluate, residual_a_infinity, residual_bimodule, residual_inner,
+    pair_evaluate, precompose_differential, residual_a_infinity,
+    residual_bimodule, residual_inner,
     sigma_sharp, structures_from_dict, tensor_module, tensor_structure,
     check_rho20_identity, validate_structures,
 )
@@ -337,3 +338,34 @@ def test_tensor_structure_coefficients_are_exact():
              for _args, _out, c in m.items()]
     assert coefs
     assert all(type(c) in (int, Fraction) for c in coefs)
+
+
+def _dense_precompose_differential(f, d):
+    """f o d_tensor summed over every argument tuple: the oracle for
+    precompose_differential, which walks f's entries instead."""
+    import itertools
+    degs = f.module.degrees
+    out = MultiMap(f.module, f.arity, f.out, f.degree + 1)
+    d_rows = {args[0]: row for args, row in d.entries.items()}
+    for args in itertools.product(range(f.module.dim), repeat=f.arity):
+        for i in range(f.arity):
+            sign = (-1) ** (sum(degs[a] for a in args[:i]) % 2)
+            for mid, c in d_rows.get(args[i], {}).items():
+                f_row = f.entries.get(args[:i] + (mid,) + args[i + 1:], {})
+                out._add(args, {o: fc * c * sign for o, fc in f_row.items()})
+    return out
+
+
+def test_precompose_differential_matches_the_dense_sum():
+    rng = random.Random(7)
+    structures = [random_structures(rng, (0, 1, -1, 0), max_mu=3,
+                                    rho_degree=1, max_inner=1),
+                  tensor_structure(fixture("two_term"), fixture("frobenius"),
+                                   max_mu=3, max_inner=1)]
+    checked = 0
+    for s in structures:
+        for f in s.maps.values():
+            got = precompose_differential(f, s.d)
+            assert got == _dense_precompose_differential(f, s.d)
+            checked += bool(got)
+    assert checked >= 4

@@ -149,3 +149,94 @@ def test_check_endomorphisms_sees_the_sigma_sharp_koszul_sign(monkeypatch):
     ok, detail = verify.check_endomorphisms(4)
     assert not ok
     assert "multiplicativity" in detail
+
+
+def test_graft_bookkeeping_check_survives_memoization(monkeypatch):
+    # mutation check: a splice that drops the guest must trip graft's
+    # self-check, which runs once for each distinct (host, leaf, guest)
+    from planarops import diagrams
+    host, guest = diagrams.tree_corolla(3), diagrams.tree_corolla(2)
+    diagrams.graft.cache_clear()
+    try:
+        good = diagrams.graft(host, 2, guest)
+        monkeypatch.setattr(diagrams, "_splice_structure",
+                            lambda d, pos, e: d)
+        assert diagrams.graft(host, 2, guest) is good     # a cache hit
+        diagrams.graft.cache_clear()
+        with pytest.raises(diagrams.DiagramError,
+                           match="graft bookkeeping failed"):
+            diagrams.graft(host, 2, guest)
+    finally:
+        diagrams.graft.cache_clear()
+
+
+def test_omega_std_global_factor_is_load_bearing(monkeypatch):
+    # mutation check: omega_std without (-1)^((n-2)(n-3)/2) is xi, and must
+    # fail the chain-map check at cap 5
+    _clear_sign_caches()
+    try:
+        with monkeypatch.context() as patch:
+            for module in (orientations, transfer, verify):
+                patch.setattr(module, "omega_std", orientations.xi)
+            ok, _detail = verify.check_chain_maps(5)
+    finally:
+        _clear_sign_caches()
+    assert not ok
+
+
+def _delta_q_with(shuffle_sign):
+    """diagonal.delta_q with its sign (-1)^rho given by `shuffle_sign`."""
+    from itertools import combinations
+    from planarops.diagonal import contract
+    from planarops.formal import FormalSum
+    from planarops.operad_q import QGenerator
+
+    def delta_q(x):
+        out = FormalSum()
+        for gen, coef in x.terms.items():
+            m = gen.metric
+            for r in range(len(m) + 1):
+                for xs in combinations(range(len(m)), r):
+                    rho = sum(1 for i in xs for j in range(len(m))
+                              if j not in xs and i < j)
+                    left_d = gen.diagram
+                    for i in xs:
+                        left_d = contract(left_d, m[i])
+                    left = QGenerator(left_d, gen.perm,
+                                      tuple(m[j] for j in range(len(m))
+                                            if j not in xs))
+                    right = QGenerator(gen.diagram, gen.perm,
+                                       tuple(m[i] for i in xs))
+                    out.add_term((left, right), coef * shuffle_sign(rho))
+        return out
+    return delta_q
+
+
+def test_delta_q_copy_matches_delta_q():
+    # the mutant below drops the shuffle sign from this same copy
+    from planarops import diagonal
+    from planarops.formal import unit
+    copied = _delta_q_with(lambda rho: (-1) ** rho)
+    seen_odd = False
+    for shape in (ShapeClass(TREE, (4,)), ShapeClass(MODULE, (1, 1)),
+                  ShapeClass(INNER, (2, 0))):
+        for gen in verify.q_basis(shape):
+            x = unit(gen)
+            assert copied(x) == diagonal.delta_q(x)
+            seen_odd |= len(gen.metric) >= 2
+    assert seen_odd
+
+
+def test_delta_q_shuffle_sign_is_load_bearing(monkeypatch):
+    # mutation check: delta_q without (-1)^rho must fail the diagonal check
+    from planarops import diagonal
+    mutant = _delta_q_with(lambda rho: 1)
+    diagonal.support_formula.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            for module in (diagonal, verify):
+                patch.setattr(module, "delta_q", mutant)
+            ok, _detail = verify.check_diagonal(5)
+    finally:
+        diagonal.support_formula.cache_clear()
+    assert not ok
