@@ -377,6 +377,10 @@ def main(argv=None):
     except (DiagramError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser and the diagram walks recurse once per nesting level
+        print("error: diagram nests too deeply", file=sys.stderr)
+        return 2
     return 0 if code is None else code
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+from . import perms
 from .diagrams import (
     INNER, contract, corolla_of, degree, enumerate_class, is_corolla,
     leaf_count, shape_class, shapes_up_to,
@@ -39,18 +40,17 @@ def delta_q(x):
         m = gen.metric
         for r in range(len(m) + 1):
             for xs in combinations(range(len(m)), r):
-                chosen = set(xs)
-                rho = sum(1 for i in chosen for j in range(len(m))
-                          if j not in chosen and i < j)
+                kept = [j for j in range(len(m)) if j not in xs]
                 left_d = gen.diagram
                 for i in xs:
                     left_d = contract(left_d, m[i])
-                left = QGenerator(left_d, gen.perm,
-                                  tuple(m[j] for j in range(len(m))
-                                        if j not in chosen))
+                left = QGenerator(left_d, gen.perm, tuple(m[j] for j in kept))
                 right = QGenerator(gen.diagram, gen.perm,
                                    tuple(m[i] for i in xs))
-                out.add_term((left, right), coef * (-1) ** rho)
+                # (-1)^rho counts the pairs chosen i < kept j: the
+                # inversions of the kept indices followed by the chosen ones
+                out.add_term((left, right),
+                             coef * perms.parity(kept + list(xs)))
     return out
 
 

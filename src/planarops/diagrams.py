@@ -16,7 +16,10 @@ leaves left to right, the right thick leaf, and the lower leaves right to
 left.  Edges are identified by the set of leaf numbers lying outward of the
 edge (away from the root, respectively away from the central vertex); these
 sets are stable under contraction and expansion, which is what makes them
-usable as orientation symbols.
+usable as orientation symbols.  They are read off the leaf addresses: each
+leaf lists the edges between it and the root, and an edge's key is the set
+of leaves that list it.  ``graft`` numbers the composite's leaves by
+arithmetic on positions and ``perms.rotation``.
 
 Conventions pinned here and validated by the test suite:
 
@@ -46,6 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+
+from . import perms
 
 THIN = 1
 THICK = 2
@@ -525,50 +530,27 @@ def parse_edge(text, n):
     return frozenset(out)
 
 
-def _pos_of(d):
-    return {a: i + 1 for i, a in enumerate(canonical_addresses(d))}
-
-
-def _thin_edges(t, prefix, pos):
-    """The edge above `t` (unless a leaf) and every thin edge inside it."""
-    if t.is_leaf:
-        return []
-    out = [(frozenset(pos[a] for a in _thin_addresses(t, prefix)),
-            ("thin", prefix))]
-    for i, c in enumerate(t.children):
-        out.extend(_thin_edges(c, prefix + (i,), pos))
-    return out
-
-
-def _outward(stack, i, wrap, pos):
-    """Key of the thick edge below vertex i of `stack`, a module diagram
-    (`wrap` empty) or an arm (`wrap` its tag): every leaf above the edge."""
-    return frozenset(
-        pos[wrap + (a if a == ("thick",) else (a[0], a[1] + i) + a[2:])]
-        for a in _stack_addresses(stack[i:]))
-
-
 @lru_cache(maxsize=None)
 def edge_locs(d):
-    """Mapping edge key -> structural location, for all internal edges."""
-    pos = _pos_of(d)
-    out = []
-    if d.kind == TREE:
-        for i, c in enumerate(d.payload.children):
-            out.extend(_thin_edges(c, ("t", i), pos))
-    for wrap, stack in _stacks(d):
-        for i in range(0 if wrap else 1, len(stack)):
-            out.append((_outward(stack, i, wrap, pos), ("thick", wrap, i)))
-        for vi, v in enumerate(stack):
-            for side, forest in (("L", v.left), ("R", v.right)):
-                for ti, t in enumerate(forest):
-                    out.extend(_thin_edges(t, wrap + (side, vi, ti), pos))
-    if d.kind == INNER:
-        for tag in ("up", "dn"):
-            for i, t in enumerate(_part(d.payload, tag)):
-                out.extend(_thin_edges(t, (tag, i), pos))
-    locs = dict(out)
-    if len(locs) != len(out):
+    """Mapping edge key -> structural location, for all internal edges.
+
+    Each leaf lists the edges below it: the thick edges of its stack up to
+    its vertex (a thick leaf: all of them), then the thin edges on its path.
+    An edge's key is the set of positions of the leaves that list it."""
+    above = {}
+    for p, addr in enumerate(canonical_addresses(d), 1):
+        wrap = addr[:1] if addr[0] in ("la", "ra") else ()
+        head, base = addr[len(wrap)], 2     # trees at ("t"|"up"|"dn", i)
+        if head in ("thick", "L", "R"):
+            top = (len(_stack_at(d, wrap)) - 1 if head == "thick"
+                   else addr[len(wrap) + 1])
+            for i in range(0 if wrap else 1, top + 1):
+                above.setdefault(("thick", wrap, i), []).append(p)
+            base = len(wrap) + 3            # trees at wrap + (side, vi, ti)
+        for k in range(base, len(addr)):
+            above.setdefault(("thin", addr[:k]), []).append(p)
+    locs = {frozenset(ps): loc for loc, ps in above.items()}
+    if len(locs) != len(above):
         raise DiagramError("edge keys collide on %s" % fmt(d))
     return locs
 
@@ -727,51 +709,21 @@ def contract(d, key):
 #   "cleft"   a run of central forests moved onto a new innermost left-arm vertex
 #   "cright"  same, onto the right arm
 
-def _thin_expansions_at(t, path, build):
-    # groupings of consecutive child runs at the vertex `t[path]`
-    sub = _thin_at(t, path)
-    out = []
-    r = len(sub.children)
-    for a in range(r):
-        for b in range(a + 2, r + 1):
-            if b - a == r:
-                continue   # would leave this vertex with a single child
-            grouped = sub.children[:a] + (ThinTree(sub.children[a:b]),) + sub.children[b:]
-            out.append((build(_thin_replace_at(t, path, ThinTree(grouped))), "group"))
-    return out
-
-
-def _all_thin_vertex_paths(t, path=()):
-    if t.is_leaf:
-        return []
-    out = [path]
-    for i, c in enumerate(t.children):
-        out.extend(_all_thin_vertex_paths(c, path + (i,)))
-    return out
-
-
-def _tree_in_forest_expansions(forest, fi, rebuild):
-    # expansions inside the thin tree forest[fi]; rebuild(new_forest) -> Diagram
-    out = []
-    t = forest[fi]
-    for path in _all_thin_vertex_paths(t):
-        out.extend(_thin_expansions_at(
-            t, path,
-            lambda nt: rebuild(_forest_splice(forest, fi, (nt,)))))
-    return out
-
-
-def _forest_group_expansions(forest, rebuild, reverse=False):
-    # group consecutive runs of forest trees under a new thin vertex
+def _forest_expansions(forest, whole=True, reverse=False):
+    """Every forest one thin edge away from `forest`: a consecutive run of
+    its trees grouped under a new vertex, or the same inside one tree.  The
+    run may be the whole forest only if `whole` (never the children of a
+    vertex); a lower forest, stored as walked, groups its run reversed."""
     out = []
     r = len(forest)
     for a in range(r):
         for b in range(a + 2, r + 1):
-            run = forest[a:b]
-            if reverse:
-                run = tuple(reversed(run))
-            new_forest = forest[:a] + (ThinTree(run),) + forest[b:]
-            out.append((rebuild(new_forest), "group"))
+            if whole or b - a < r:
+                run = forest[a:b][::-1] if reverse else forest[a:b]
+                out.append(forest[:a] + (ThinTree(run),) + forest[b:])
+    for i, t in enumerate(forest):
+        out.extend(forest[:i] + (ThinTree(cs),) + forest[i + 1:]
+                   for cs in _forest_expansions(t.children, whole=False))
     return out
 
 
@@ -789,21 +741,6 @@ def _vertex_splits(v):
                 continue
             out.append((ModuleVertex(lower_l, lower_r),
                         ModuleVertex(upper_l, upper_r), (a, b)))
-    return out
-
-
-def _stack_expansions(stack, rebuild):
-    out = []
-    for vi, v in enumerate(stack):
-        for lower, upper, ab in _vertex_splits(v):
-            new_stack = stack[:vi] + (lower, upper) + stack[vi + 1:]
-            out.append((rebuild(new_stack), ("split",) + ab))
-        for side, forest in (("L", v.left), ("R", v.right)):
-            def rebuild_forest(nf, vi=vi, side=side):
-                return rebuild(_with_forest(stack, vi, side, nf))
-            out.extend(_forest_group_expansions(forest, rebuild_forest))
-            for fi in range(len(forest)):
-                out.extend(_tree_in_forest_expansions(forest, fi, rebuild_forest))
     return out
 
 
@@ -830,28 +767,25 @@ def _central_splits(inn):
 
 
 def _expansions_tagged(d):
-    out = []
     if d.kind == TREE:
-        t = d.payload
-        for path in _all_thin_vertex_paths(t):
-            out.extend(_thin_expansions_at(
-                t, path, lambda nt: tree_diagram(nt)))
+        return [(tree_diagram(ThinTree(cs)), "group")
+                for cs in _forest_expansions(d.payload.children, whole=False)]
+    out = []
     for wrap, stack in _stacks(d):
-        out.extend(_stack_expansions(
-            stack, lambda ns, wrap=wrap: _with_stack(d, wrap, ns)))
+        for vi, v in enumerate(stack):
+            for lower, upper, ab in _vertex_splits(v):
+                out.append((_with_stack(d, wrap, stack[:vi] + (lower, upper)
+                                        + stack[vi + 1:]), ("split",) + ab))
+            for side, forest in (("L", v.left), ("R", v.right)):
+                for f in _forest_expansions(forest):
+                    out.append((_with_stack(
+                        d, wrap, _with_forest(stack, vi, side, f)), "group"))
     if d.kind == INNER:
         inn = d.payload
         out.extend(_central_splits(inn))
         for tag in ("up", "dn"):
-            forest = _part(inn, tag)
-
-            def rebuild_forest(nf, tag=tag):
-                return _with_part(inn, tag, nf)
-
-            out.extend(_forest_group_expansions(forest, rebuild_forest,
-                                                reverse=(tag == "dn")))
-            for fi in range(len(forest)):
-                out.extend(_tree_in_forest_expansions(forest, fi, rebuild_forest))
+            out.extend((_with_part(inn, tag, f), "group") for f in
+                       _forest_expansions(_part(inn, tag), reverse=tag == "dn"))
     return out
 
 
@@ -923,16 +857,15 @@ def graft(d, pos, e):
         raise DiagramError("leaf position out of range")
     composite = _splice_structure(d, pos, e)
 
-    order = ([("D", j) for j in range(1, pos)]
-             + [("E", i) for i in range(1, l + 1)]
-             + [("D", j) for j in range(pos + 1, k + 1)])
-    rot = 0
-    if (d.kind == INNER and e.kind == MODULE and pos == 1):
-        rot = thick_positions(e)[0] - 1
-        order = order[rot:] + order[:rot]
-    host_pos, guest_pos = {}, {}
-    for idx, (src, p) in enumerate(order):
-        (host_pos if src == "D" else guest_pos)[p] = idx + 1
+    # the guest's leaves replace leaf `pos`; grafted onto the left arm's
+    # thick leaf (position 1), the walk starts at the guest's thick leaf,
+    # which follows its `rot` left-forest leaves
+    rot = (sum(v.nleft for v in e.payload)
+           if d.kind == INNER and pos == 1 else 0)
+    shift = perms.rotation(k + l - 1, rot)
+    host_pos = {j: shift[j - 1 if j < pos else j + l - 2]
+                for j in range(1, k + 1) if j != pos}
+    guest_pos = {i: shift[pos + i - 2] for i in range(1, l + 1)}
 
     guest_all = frozenset(guest_pos.values())
     host_edges = {}

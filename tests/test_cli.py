@@ -3,9 +3,10 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarops.cli import main, parse_generator, parse_shape
-from planarops.diagrams import INNER, ShapeClass
+from planarops.diagrams import INNER, DiagramError, ShapeClass
 
 
 def run(capsys, *argv):
@@ -276,3 +277,49 @@ def test_broken_pipe_exits_quietly(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["enumerate", "I1,1", "0"]) == 141
     assert capsys.readouterr().err == ""
+
+
+def _left_comb(depth):
+    text = "(* *)"
+    for _ in range(depth - 1):
+        text = "(%s *)" % text
+    return text
+
+
+@pytest.mark.parametrize("depth", [400, 1200])
+def test_deep_diagrams_are_an_input_error(capsys, depth):
+    # 1,200 levels overflow the parser; 400 levels parse, and overflow the
+    # walks of minmax before Python 3.12, whose recursion limit counts
+    # Python frames only
+    code = main(["minmax", _left_comb(depth)])
+    captured = capsys.readouterr()
+    if depth == 400 and sys.version_info >= (3, 12):
+        assert code == 0 and captured.out.startswith("min: ")
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: diagram nests too deeply\n"
+
+
+_GRAMMAR = st.sampled_from(list("()*{}<>|;[]-,: 0123456789") + [
+    "id", "metric:", " ; ", "* ", "T", "M", "I"])
+_TEXTS = st.one_of(st.text(max_size=40),
+                   st.lists(_GRAMMAR, max_size=30).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+def test_parse_shape_returns_or_raises_an_input_error(text):
+    try:
+        parse_shape(text)
+    except (DiagramError, ValueError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS, st.sampled_from(["c", "q"]))
+def test_parse_generator_returns_or_raises_an_input_error(text, which):
+    try:
+        parse_generator(text, which)
+    except (DiagramError, ValueError):
+        pass

@@ -147,14 +147,19 @@ def test_expansions_counts():
 
 
 def test_expansion_contract_roundtrip():
-    for shape in [ShapeClass(TREE, (5,)), ShapeClass(MODULE, (2, 1)),
-                  ShapeClass(INNER, (1, 1)), ShapeClass(INNER, (2, 1))]:
+    for shape in shapes_up_to(6):
+        # every (d2, e) one degree down, filed under contract(d2, e)
+        contracts_to = {}
+        for d in all_diagrams(shape):
+            for e in edges(d):
+                contracts_to.setdefault(contract(d, e), set()).add((d, e))
         for d in all_diagrams(shape):
             for d2, e2 in expansions(d):
                 assert degree(d2) == degree(d) - 1
                 assert contract(d2, e2) == d
             for e in edges(d):
                 assert (d, e) in expansions(contract(d, e))
+            assert set(expansions(d)) == contracts_to.get(d, set())
 
 
 def test_contract_preserves_other_keys():

@@ -1,0 +1,161 @@
+"""The diagram kernel against independent constructions kept here as
+oracles: edge keys walked per subtree and per thick edge, `graft`'s leaf
+order laid out by hand, and `dmax` as the mirror image of `dmin`."""
+
+import pytest
+
+from planarops.diagrams import (
+    INNER, MODULE, TREE, ModuleVertex, ThinTree, _stacks, canonical_addresses,
+    corolla_of, cut, degree, edge_locs, edges, enumerate_class,
+    inner_diagram, leaf_count, module_diagram, shapes_up_to,
+    thick_positions, tree_diagram,
+)
+from planarops.tamari import dmax, dmin
+
+
+def all_diagrams(max_leaves):
+    out = []
+    for shape in shapes_up_to(max_leaves):
+        for deg in range(degree(corolla_of(shape)) + 1):
+            out.extend(enumerate_class(shape, deg))
+    return out
+
+
+ALL6 = all_diagrams(6)
+
+
+# --- edge keys: one walk per subtree and per thick edge ---------------------
+
+def thin_addresses(t, prefix):
+    if not t.children:
+        return [prefix]
+    return [a for i, c in enumerate(t.children)
+            for a in thin_addresses(c, prefix + (i,))]
+
+
+def stack_addresses(stack):
+    pre = [a for vi, v in enumerate(stack) for ti, t in enumerate(v.left)
+           for a in thin_addresses(t, ("L", vi, ti))]
+    post = [a for vi in range(len(stack) - 1, -1, -1)
+            for ti, t in enumerate(stack[vi].right)
+            for a in thin_addresses(t, ("R", vi, ti))]
+    return pre + [("thick",)] + post
+
+
+def thin_edges(t, prefix, pos):
+    """The edge above `t` (unless a leaf) and every thin edge inside it."""
+    if not t.children:
+        return []
+    out = [(frozenset(pos[a] for a in thin_addresses(t, prefix)),
+            ("thin", prefix))]
+    for i, c in enumerate(t.children):
+        out.extend(thin_edges(c, prefix + (i,), pos))
+    return out
+
+
+def outward(stack, i, wrap, pos):
+    """Key of the thick edge below vertex i: every leaf above the edge, its
+    address shifted by i vertices."""
+    return frozenset(
+        pos[wrap + (a if a == ("thick",) else (a[0], a[1] + i) + a[2:])]
+        for a in stack_addresses(stack[i:]))
+
+
+def oracle_edge_locs(d):
+    pos = {a: i + 1 for i, a in enumerate(canonical_addresses(d))}
+    out = []
+    if d.kind == TREE:
+        for i, c in enumerate(d.payload.children):
+            out.extend(thin_edges(c, ("t", i), pos))
+    for wrap, stack in _stacks(d):
+        for i in range(0 if wrap else 1, len(stack)):
+            out.append((outward(stack, i, wrap, pos), ("thick", wrap, i)))
+        for vi, v in enumerate(stack):
+            for side, forest in (("L", v.left), ("R", v.right)):
+                for ti, t in enumerate(forest):
+                    out.extend(thin_edges(t, wrap + (side, vi, ti), pos))
+    if d.kind == INNER:
+        for tag, forest in (("up", d.payload.up), ("dn", d.payload.down)):
+            for i, t in enumerate(forest):
+                out.extend(thin_edges(t, (tag, i), pos))
+    locs = dict(out)
+    assert len(locs) == len(out)
+    return locs
+
+
+def test_the_oracles_reach_every_kind():
+    assert {d.kind for d in ALL6} == {TREE, MODULE, INNER}
+    assert len(ALL6) == 3154
+
+
+def test_edge_locs_match_the_per_subtree_walk():
+    for d in ALL6:
+        assert edge_locs(d) == oracle_edge_locs(d), d
+
+
+# --- graft: the leaf order laid out by hand ---------------------------------
+
+def oracle_graft_maps(d, pos, e):
+    """(host_pos, guest_pos, rot): the spliced leaf order written out and,
+    on the left arm's thick leaf, rotated to the guest's thick leaf."""
+    k, l = leaf_count(d), leaf_count(e)
+    order = ([("D", j) for j in range(1, pos)]
+             + [("E", i) for i in range(1, l + 1)]
+             + [("D", j) for j in range(pos + 1, k + 1)])
+    rot = 0
+    if d.kind == INNER and e.kind == MODULE and pos == 1:
+        rot = thick_positions(e)[0] - 1
+        order = order[rot:] + order[:rot]
+    host_pos, guest_pos = {}, {}
+    for idx, (src, p) in enumerate(order):
+        (host_pos if src == "D" else guest_pos)[p] = idx + 1
+    return host_pos, guest_pos, rot
+
+
+def test_graft_maps_match_the_hand_laid_order():
+    cuts = rotated = 0
+    for d in ALL6:
+        for e in edges(d):
+            c = cut(d, e)
+            host_pos, guest_pos, rot = oracle_graft_maps(c.host, c.pos,
+                                                         c.outer)
+            assert dict(c.graft.host_pos) == host_pos, (d, e)
+            assert dict(c.graft.guest_pos) == guest_pos, (d, e)
+            assert c.graft.rot == rot, (d, e)
+            cuts += 1
+            rotated += rot > 0
+    assert cuts == 8251 and rotated > 0
+
+
+# --- dmax as the mirror image of dmin ---------------------------------------
+
+def mirror_thin(t):
+    return ThinTree(tuple(mirror_thin(c) for c in reversed(t.children)))
+
+
+def mirror_forest(forest):
+    return tuple(mirror_thin(t) for t in reversed(forest))
+
+
+def mirror_stack(stack):
+    return tuple(ModuleVertex(mirror_forest(v.right), mirror_forest(v.left))
+                 for v in stack)
+
+
+def mirror(d):
+    """The reflection of `d` in a vertical line."""
+    if d.kind == TREE:
+        return tree_diagram(mirror_thin(d.payload))
+    if d.kind == MODULE:
+        return module_diagram(mirror_stack(d.payload))
+    inn = d.payload
+    return inner_diagram(mirror_stack(inn.right_arm), mirror_forest(inn.up),
+                         mirror_stack(inn.left_arm), mirror_forest(inn.down))
+
+
+@pytest.mark.parametrize("kind", [TREE, MODULE, INNER])
+def test_dmax_is_the_mirror_of_dmin(kind):
+    for d in ALL6:
+        if d.kind == kind:
+            assert mirror(mirror(d)) is d
+            assert dmax(d) is mirror(dmin(mirror(d))), d

@@ -240,3 +240,51 @@ def test_delta_q_shuffle_sign_is_load_bearing(monkeypatch):
     finally:
         diagonal.support_formula.cache_clear()
     assert not ok
+
+
+def _compose_at_with(koszul):
+    """endo.compose_at with its Koszul sign given by `koszul(exponent)`."""
+    from planarops.endo import MultiMap
+
+    def compose_at(f, i, g):
+        degs = f.module.degrees
+        out = MultiMap(f.module, f.arity + g.arity - 1, f.out,
+                       f.degree + g.degree)
+        for f_args, f_out, f_c in f.items():
+            for g_args, g_out, g_c in g.items():
+                if f_args[i - 1] == g_out:
+                    sign = koszul(
+                        g.degree * sum(degs[a] for a in f_args[:i - 1]))
+                    out._add(f_args[:i - 1] + g_args + f_args[i:],
+                             {f_out: f_c * g_c * sign})
+        return out
+    return compose_at
+
+
+def test_compose_at_copy_matches_compose_at():
+    # the mutant below drops the Koszul sign from this same copy
+    import random
+    from planarops import endo
+    copied = _compose_at_with(endo.neg_one_pow)
+    unsigned = _compose_at_with(lambda n: 1)
+    rng = random.Random(7)
+    seen_sign = False
+    for _ in range(6):
+        s = verify._random_structures(rng, (0, rng.choice((-1, 1))))
+        for arity in (2, 3):
+            for i in range(1, arity + 1):
+                f, g = s.mu_map(arity), s.mu_map(3)
+                real = endo.compose_at(f, i, g)
+                assert endo.maps_equal(copied(f, i, g), real)
+                seen_sign |= not endo.maps_equal(unsigned(f, i, g), real)
+    assert seen_sign
+
+
+def test_check_endomorphisms_sees_the_compose_at_koszul_sign(monkeypatch):
+    # mutation check: compose_at without its Koszul sign must fail the
+    # relabeled multiplicativity draws of check_endomorphisms
+    from planarops import endo
+    monkeypatch.setattr(endo, "compose_at", _compose_at_with(lambda n: 1))
+    ok, detail = verify.check_endomorphisms(4)
+    assert not ok
+    assert "multiplicativity" in detail
