@@ -101,10 +101,15 @@ def parse_generator(text, which):
         orientation = orient(_parse_keys(sections[2], n), 1)
         if orientation is None:
             raise DiagramError("an orientation lists each edge once")
+    if len(sections) > 4:
+        raise DiagramError("a generator has at most four sections, not %r"
+                           % sections[4])
     metric = None
-    for sec in sections[3:]:
-        if sec.startswith("metric:"):
-            metric = _parse_keys(sec[len("metric:"):], n)
+    if len(sections) > 3:
+        if not sections[3].startswith("metric:"):
+            raise DiagramError("the fourth section is metric:[...], not %r"
+                               % sections[3])
+        metric = _parse_keys(sections[3][len("metric:"):], n)
     if which == "c":
         gen, sign = c_generator(diagram, perm, orientation)
     else:

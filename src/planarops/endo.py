@@ -306,52 +306,64 @@ def maps_equal(a, b):
 
 # ---------------------------------------------------------------------------
 # structure relations (direct transcriptions, independent of eval_generator)
+#
+# Each relation is [d, m] minus the insertions of a structure map into
+# another: the block i..i+j-1 of the k inputs goes through an arity-j map
+# and the result into slot i of an arity-ell map, ell = k+1-j, with the
+# sign (-1)^(i(j+1) + j*ell).  `_insertions` is that sum; a relation only
+# says which two maps meet.  In the bimodule and inner relations the block
+# that covers the module slot is a lambda, any other block a mu.  The
+# inner relation also inserts a lambda at its first slot after rotating
+# inputs round the pairing; that half is written out on its own.
+
+def _insertions(total, k, first, pick):
+    """total minus the signed insertions at slots first..ell; `pick(i, j,
+    ell)` gives (outer, inner)."""
+    for j in range(2, k):
+        ell = k + 1 - j
+        for i in range(first, ell + 1):
+            outer, inner = pick(i, j, ell)
+            term = compose_at(outer, i, inner)
+            total = total.minus(term.scale(neg_one_pow(i * (j + 1) + j * ell)))
+    return total
+
+
+def _module_slot_pick(s, outer_map, first, kp, kpp):
+    """The (outer, inner) pair of the bimodule relation (`outer_map` is
+    lambda, `first` 1) or of the inner relation away from its first slot
+    (rho, 2); the module slot is kp+first."""
+    slot = kp + first
+
+    def pick(i, j, ell):
+        if i <= slot < i + j:
+            return (outer_map(i - first, ell - i),
+                    s.lam_map(slot - i, i + j - 1 - slot))
+        if i + j - 1 < slot:
+            return outer_map(kp - j + 1, kpp), s.mu_map(j)
+        return outer_map(kp, kpp - j + 1), s.mu_map(j)
+    return pick
+
 
 def residual_a_infinity(structures, k):
     """Defect of the multiplication relation at arity k."""
     if k < 2:
         raise StructureError("the multiplication relation starts at arity 2")
     s = structures
-    total = commutator(s.d, s.mu_map(k))
-    for j in range(2, k):
-        ell = k + 1 - j
-        if ell < 2:
-            continue
-        for i in range(1, ell + 1):
-            term = compose_at(s.mu_map(ell), i, s.mu_map(j))
-            total = total.minus(term.scale((-1) ** (i * (j + 1) + j * ell)))
-    return total
+    return _insertions(commutator(s.d, s.mu_map(k)), k, 1,
+                       lambda i, j, ell: (s.mu_map(ell), s.mu_map(j)))
 
 
 def residual_bimodule(structures, kp, kpp):
     """Defect of the bimodule relation at (kp, kpp); module slot kp+1."""
     s = structures
-    k = kp + kpp + 1
-    slot = kp + 1
-    total = commutator(s.d, s.lam_map(kp, kpp))
-    for j in range(2, k):
-        ell = k + 1 - j
-        for i in range(1, k - j + 2):
-            block = range(i, i + j)
-            if slot in block:
-                q = s.lam_map(slot - i, i + j - 1 - slot)
-                outer = s.lam_map(i - 1, ell - i)
-            elif i + j - 1 < slot:
-                q = s.mu_map(j)
-                outer = s.lam_map(kp - j + 1, kpp)
-            else:
-                q = s.mu_map(j)
-                outer = s.lam_map(kp, kpp - j + 1)
-            term = compose_at(outer, i, q)
-            total = total.minus(term.scale((-1) ** (i * (j + 1) + j * ell)))
-    return total
+    return _insertions(commutator(s.d, s.lam_map(kp, kpp)), kp + kpp + 1, 1,
+                       _module_slot_pick(s, s.lam_map, 1, kp, kpp))
 
 
 def residual_inner(structures, kp, kpp):
     """Defect of the homotopy-inner-product relation at (kp, kpp)."""
     s = structures
     k = kp + kpp + 2
-    slot2 = kp + 2
     total = commutator(s.d, s.rho_map(kp, kpp))
     # compositions at the first module slot, after rotating j' inputs
     for jp in range(0, kpp + 1):
@@ -366,23 +378,8 @@ def residual_inner(structures, kp, kpp):
                 term = rotate_last_to_front(term)
             sign = (-1) ** ((j + 1) + j * ell + jp * (jpp + ell))
             total = total.minus(term.scale(sign))
-    # compositions away from the first slot
-    for j in range(2, k):
-        ell = k - j + 1
-        for i in range(2, k - j + 2):
-            block = range(i, i + j)
-            if slot2 in block:
-                q = s.lam_map(slot2 - i, i + j - 1 - slot2)
-                outer = s.rho_map(i - 2, k - (i + j - 1))
-            elif i + j - 1 < slot2:
-                q = s.mu_map(j)
-                outer = s.rho_map(kp - j + 1, kpp)
-            else:
-                q = s.mu_map(j)
-                outer = s.rho_map(kp, kpp - j + 1)
-            term = compose_at(outer, i, q)
-            total = total.minus(term.scale((-1) ** (i * (j + 1) + j * ell)))
-    return total
+    return _insertions(total, k, 2,
+                       _module_slot_pick(s, s.rho_map, 2, kp, kpp))
 
 
 def validate_structures(structures):
@@ -416,16 +413,6 @@ def tensor_module(ma, mb):
     return GradedModule(names, degrees)
 
 
-def _pair_sign(degs_a, degs_b, a_args, b_args):
-    # sigma_n: (a_1|b_1, ..., a_n|b_n) -> (a_1..a_n | b_1..b_n)
-    sign = 1
-    for i in range(len(a_args)):
-        for j in range(i + 1, len(a_args)):
-            if (degs_b[b_args[i]] % 2) and (degs_a[a_args[j]] % 2):
-                sign = -sign
-    return sign
-
-
 def pair_evaluate(tensor_elem, sa, sb):
     """Evaluate a sum of tensor-square generators as a map on A (x) B; None
     for the empty sum.  The type is that of the first term: the arity and
@@ -436,6 +423,7 @@ def pair_evaluate(tensor_elem, sa, sb):
     for (gl, gr), coef in tensor_elem.terms.items():
         fa = eval_generator(gl, sa)
         fb = eval_generator(gr, sb)
+        n = fa.arity
         if result is None:
             result = MultiMap(tensor_module(ma, mb), fa.arity, fa.out,
                               fa.degree + fb.degree)
@@ -444,8 +432,12 @@ def pair_evaluate(tensor_elem, sa, sb):
             koszul = neg_one_pow(fb.degree * deg_a_total)
             for b_args, b_out, b_c in fb.items():
                 args = tuple(a * dim_b + b for a, b in zip(a_args, b_args))
-                sign = koszul * _pair_sign(ma.degrees, mb.degrees,
-                                           a_args, b_args)
+                # (a1|b1, ..., an|bn) -> (a1..an | b1..bn) sends a_i to i
+                # and b_i to n+i; the odd factors' targets give the sign
+                odd = [t for i, (a, b) in enumerate(zip(a_args, b_args))
+                       for t, deg in ((i, ma.degrees[a]),
+                                      (n + i, mb.degrees[b])) if deg % 2]
+                sign = koszul * perms.parity(odd)
                 o = None if a_out is None else a_out * dim_b + b_out
                 result._add(args, {o: coef * a_c * b_c * sign})
     return result

@@ -100,8 +100,7 @@ def transfer(o, step):
     """Carry an orientation across one local move (negates it)."""
     if o is None:
         return None
-    mapping = dict(step.bijection)
-    return orient([mapping[k] for k in o.keys], -o.sign)
+    return orient([step.apply(k) for k in o.keys], -o.sign)
 
 
 def graft_wedge(g, host_keys, guest_keys, new_edge):

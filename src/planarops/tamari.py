@@ -26,35 +26,28 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import (
-    MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract, edge_locs,
-    edges, expansions_tagged, fmt, inner_diagram, is_binary, module_diagram,
-    shape_class, tree_diagram,
+    MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract, edges,
+    enumerate_class, expansions_tagged, fmt, inner_diagram, is_binary,
+    module_diagram, shape_class, tree_diagram,
 )
 
 
 @dataclass(frozen=True)
 class MoveStep:
+    """One move: the edge `site` of the diagram it starts from becomes the
+    edge `new` of the diagram it reaches; every other edge keeps its key."""
+
     move: int                 # 1..6
-    site: frozenset           # edge of the lower diagram consumed by the move
+    site: frozenset
+    new: frozenset
     direction: str            # "up" | "down"
-    bijection: tuple          # ((old key, new key), ...) covering every edge
 
     def inverse(self):
-        return MoveStep(self.move, dict(self.bijection)[self.site],
-                        "down" if self.direction == "up" else "up",
-                        tuple((b, a) for a, b in self.bijection))
+        return MoveStep(self.move, self.new, self.site,
+                        "down" if self.direction == "up" else "up")
 
     def apply(self, key):
-        return dict(self.bijection)[key]
-
-
-def _junction_pair(d):
-    """The two binary expansions of a codim-1 diagram, with tags."""
-    pair = expansions_tagged(d)
-    if len(pair) != 2:
-        raise DiagramError("expected an edge-pair at %s, got %d expansions"
-                           % (fmt(d), len(pair)))
-    return pair
+        return self.new if key == self.site else key
 
 
 def _orient_pair(d, pair):
@@ -84,7 +77,10 @@ def _orient_pair(d, pair):
 def _edge_pair(b, e):
     """The partner of binary `b` across the move at edge `e`."""
     d = contract(b, e)
-    pair = _junction_pair(d)
+    pair = expansions_tagged(d)
+    if len(pair) != 2:
+        raise DiagramError("expected an edge-pair at %s, got %d expansions"
+                           % (fmt(d), len(pair)))
     move, smaller = _orient_pair(d, pair)
     (da, ea, _), (db, eb, _) = pair
     if (da, ea) == (b, e):
@@ -104,9 +100,7 @@ def _moves(b, up):
     for e in edges(b):
         move, other, oe, b_small = _edge_pair(b, e)
         if b_small == up:
-            bij = tuple(sorted(((k, oe if k == e else k)
-                                for k in edge_locs(b)), key=lambda p: sorted(p[0])))
-            out.append((other, MoveStep(move, e, "up" if up else "down", bij)))
+            out.append((other, MoveStep(move, e, oe, "up" if up else "down")))
     out.sort(key=lambda pair: fmt(pair[0]))
     return tuple(out)
 
@@ -125,14 +119,10 @@ def cocovers(b):
 
 @lru_cache(maxsize=None)
 def classify_edges(b):
-    """Positive/negative classification; +1 for positive, -1 for negative."""
-    if not is_binary(b):
-        raise DiagramError("classify_edges needs a binary diagram")
-    out = {}
-    for e in edges(b):
-        _move, _other, _oe, b_small = _edge_pair(b, e)
-        out[e] = -1 if b_small else +1
-    return out
+    """-1 on the negative edges of binary `b`, the sites of its upward
+    moves, and +1 on the others, the sites of its downward moves."""
+    negative = {step.site for _b, step in covers(b)}
+    return {e: -1 if e in negative else +1 for e in edges(b)}
 
 
 def positive_edges(b):
@@ -248,7 +238,7 @@ def move_path_down(top, bottom):
     while frontier:
         nxt = []
         for x in sorted(frontier, key=fmt):
-            for y, step in sorted(cocovers(x), key=lambda p: fmt(p[0])):
+            for y, step in cocovers(x):         # already in fmt order
                 if y not in parent:
                     parent[y] = (x, step)
                     if y == bottom:
@@ -264,14 +254,9 @@ def move_path_down(top, bottom):
     raise DiagramError("%s is not below %s" % (fmt(bottom), fmt(top)))
 
 
-def all_binaries(shape):
-    from .diagrams import enumerate_class
-    return enumerate_class(shape, 0)
-
-
 def poset_extremes(shape):
     """Unique source and sink of the cover relation, by exhaustive search."""
-    nodes = all_binaries(shape)
+    nodes = enumerate_class(shape, 0)
     sources = [b for b in nodes if not cocovers(b)]
     sinks = [b for b in nodes if not covers(b)]
     if len(sources) != 1 or len(sinks) != 1:

@@ -17,7 +17,7 @@ from traceback import format_exc
 
 from . import perms
 from .diagrams import (
-    INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
+    INNER, MODULE, TREE, DiagramError, ShapeClass, corolla_of, degree, edges,
     enumerate_class, fmt, inner_corolla, leaf_count, module_corolla, parse,
     rotate180, shapes_up_to, tree_corolla,
 )
@@ -26,7 +26,8 @@ from .operad_c import boundary_c, c_generator, c_unit, compose_c
 from .operad_q import QGenerator, boundary_q, q_unit
 from .orientations import omega_sd, omega_std, orient, transfer, xi, xi_via
 from .tamari import (
-    classify_edges, cocovers, covers, dmax, dmin, leq, positive_edges,
+    classify_edges, cocovers, covers, dmax, dmin, leq, poset_extremes,
+    positive_edges,
 )
 from .transfer import p_map, q_map
 from .diagonal import (
@@ -246,11 +247,12 @@ def check_order(cap):
     cap7 = min(cap, 7)
     for shape in shapes_up_to(cap7):
         c = corolla_of(shape)
+        try:
+            if poset_extremes(shape) != (dmin(c), dmax(c)):
+                return False, "extremes of %r" % (shape,)
+        except DiagramError as exc:
+            return False, str(exc)
         nodes = enumerate_class(shape, 0)
-        sources = [b for b in nodes if not cocovers(b)]
-        sinks = [b for b in nodes if not covers(b)]
-        if sources != [dmin(c)] or sinks != [dmax(c)]:
-            return False, "extremes of %r" % (shape,)
         for b in nodes:
             np = len(positive_edges(b))
             signs = set(classify_edges(b).values())

@@ -191,6 +191,17 @@ def test_bad_numbers_say_what_was_expected(capsys):
         assert needle in err and "invalid literal" not in err, (argv, err)
 
 
+def test_unknown_generator_sections_are_input_errors(capsys):
+    cases = [("pmap", "((* * *) ; id ; [] ; metrc:[])", "metrc:[]"),
+             ("pmap", "((* * *) ; id ; [] ; metric:[] ; junk)", "junk"),
+             ("qmap", "((* * *) ; id ; [] ; extra)", "extra")]
+    for command, literal, section in cases:
+        code = main([command, literal])
+        captured = capsys.readouterr()
+        assert code == 2, literal
+        assert captured.out == "" and section in captured.err, captured.err
+
+
 def test_tensor_ainf_rejects_arities_below_two(capsys):
     from pathlib import Path
     fx = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"

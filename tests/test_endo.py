@@ -7,14 +7,15 @@ import pytest
 from planarops.diagrams import (
     INNER, MODULE, TREE, ShapeClass, ThinTree, LEAF, corolla_of, degree,
     enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
-    tree_corolla, tree_diagram,
+    shapes_up_to, tree_corolla, tree_diagram,
 )
 from planarops.formal import unit
 from planarops.operad_c import boundary_c, c_generator, c_unit, compose_c
 from planarops.diagonal import delta_c
 from planarops.endo import (
     GradedModule, MultiMap, StructureError, StructureSet, commutator,
-    compose_at, eval_element, eval_generator, load_structures, maps_equal,
+    compose_at, eval_element, eval_generator, load_structures, map_type,
+    maps_equal,
     pair_evaluate, precompose_differential, residual_a_infinity,
     residual_bimodule, residual_inner,
     sigma_sharp, structures_from_dict, tensor_module, tensor_structure,
@@ -205,6 +206,78 @@ def test_fixture_validation_rejects_broken_pairing():
         validate_structures(s)
 
 
+# --- the relations against the evaluator ---------------------------------------
+#
+# A residual is [d, m] minus the evaluated boundary of m's corolla, whatever
+# the structure constants: the transcriptions of the relations and the
+# decomposition of a one-edge diagram have to agree on every sign.
+
+RELATION_SHAPES = (
+    [ShapeClass(TREE, (n,)) for n in range(2, 6)]
+    + [ShapeClass(MODULE, (j, t - j)) for t in range(1, 4)
+       for j in range(t + 1)]
+    + [ShapeClass(INNER, (j, t - j)) for t in range(3) for j in range(t + 1)])
+RESIDUALS = {TREE: residual_a_infinity, MODULE: residual_bimodule,
+             INNER: residual_inner}
+
+
+def relation_structures(seed, count=4):
+    """`verify._random_structures` to mu_5, with random rho_{j,k} up to
+    four leaves."""
+    import itertools
+    from planarops.verify import _random_structures
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        s = _random_structures(rng, (-1, 0, 1), max_mu=5)
+        s.rho_degree = rng.choice((-1, 0, 1))
+        for shape in shapes_up_to(4, kinds=(INNER,)):
+            arity, _out, deg = map_type(shape, s.rho_degree)
+            s.maps[shape] = MultiMap(s.module, arity, "scalar", deg, [
+                (args, {None: Fraction(rng.randint(-2, 2))})
+                for args in itertools.product(range(3), repeat=arity)
+                if sum(s.module.degrees[a] for a in args) + deg == 0])
+        out.append(s)
+    return out
+
+
+def relation_mismatches(structures):
+    """The (structure, shape) pairs whose residual is not [d, m] minus the
+    evaluated boundary of the corolla."""
+    bad = []
+    for n, s in enumerate(structures):
+        for shape in RELATION_SHAPES:
+            expected = commutator(s.d, s.op(shape))
+            boundary = eval_element(boundary_c(c_unit(corolla_of(shape))), s)
+            if boundary is not None:
+                expected = expected.minus(boundary)
+            if RESIDUALS[shape.kind](s, *shape.params) != expected:
+                bad.append((n, shape))
+    return bad
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_residuals_match_the_evaluated_boundary(seed):
+    assert relation_mismatches(relation_structures(seed)) == []
+
+
+def test_insertion_sign_is_load_bearing(monkeypatch):
+    # mutation check: the shared insertion loop with its sign dropped (each
+    # term scaled by that sign once more) must fail the cross-check
+    from planarops import endo
+    insertions = endo._insertions
+
+    def unsigned(total, k, first, pick):
+        def resigned(i, j, ell):
+            outer, inner = pick(i, j, ell)
+            return outer.scale(endo.neg_one_pow(i * (j + 1) + j * ell)), inner
+        return insertions(total, k, first, resigned)
+    monkeypatch.setattr(endo, "_insertions", unsigned)
+    bad = relation_mismatches(relation_structures(5))
+    assert {n for n, _shape in bad} == {0, 1, 2, 3}
+    assert {shape.kind for _n, shape in bad} == {TREE, MODULE, INNER}
+
+
 # --- chain-map property -------------------------------------------------------
 
 def all_generators(max_leaves):
@@ -316,6 +389,39 @@ def test_rho20_identity_negative_control():
         if check_rho20_identity(sa, sb):
             hits += 1
     assert hits >= 2
+
+
+def test_tensor_structures_of_fixture_pairings_satisfy_every_relation():
+    for a, b in [("frobenius", "two_term"), ("two_term", "frobenius"),
+                 ("frobenius", "mu3")]:
+        validate_structures(tensor_structure(fixture(a), fixture(b),
+                                             max_mu=4, max_inner=2))
+
+
+def cyclic_mu3(dx, rho_degree):
+    """x odd and y of degree 3|x| - 1, mu3(x,x,x) = y and the pairing
+    rho00(x,y) = rho00(y,x) = 1: cyclic, with zero higher inner products."""
+    return structures_from_dict({
+        "name": "cyclic_mu3",
+        "basis": [{"name": "x", "degree": dx},
+                  {"name": "y", "degree": 3 * dx - 1}],
+        "rho_degree": rho_degree,
+        "mu": {"3": [[["x", "x", "x"], "y", "1"]]},
+        "rho": {"0,0": [[["x", "y"], "1"], [["y", "x"], "1"]]}})
+
+
+@pytest.mark.parametrize("dx, rho_degree", [(1, -3), (-1, 5)])
+def test_tensor_square_of_a_cyclic_algebra_is_not_cyclic(dx, rho_degree):
+    # the source paper's headline: the tensor product of two cyclic
+    # A-infinity algebras carries nonzero higher inner products
+    s = validate_structures(cyclic_mu3(dx, rho_degree))
+    assert [m for shape, m in s.maps.items()
+            if shape.kind == INNER and sum(shape.params) > 0 and m] == []
+    square = validate_structures(tensor_structure(s, s, max_mu=4,
+                                                  max_inner=2))
+    xx = square.module.index("x|x")
+    for jk in ((2, 0), (0, 2)):
+        assert square.rho_map(*jk).entries == {(xx,) * 4: {None: -1}}
 
 
 def test_tensor_psi_intertwines_differentials():

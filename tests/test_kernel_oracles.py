@@ -1,16 +1,19 @@
 """The diagram kernel against independent constructions kept here as
 oracles: edge keys walked per subtree and per thick edge, `graft`'s leaf
-order laid out by hand, and `dmax` as the mirror image of `dmin`."""
+order laid out by hand, `dmax` as the mirror image of `dmin`, and moves
+that carry a full edge bijection."""
 
 import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, TREE, ModuleVertex, ThinTree, _stacks, canonical_addresses,
-    corolla_of, cut, degree, edge_locs, edges, enumerate_class,
+    corolla_of, cut, degree, edge_locs, edges, enumerate_class, fmt,
     inner_diagram, leaf_count, module_diagram, shapes_up_to,
     thick_positions, tree_diagram,
 )
-from planarops.tamari import dmax, dmin
+from planarops.tamari import (
+    _edge_pair, classify_edges, cocovers, covers, dmax, dmin,
+)
 
 
 def all_diagrams(max_leaves):
@@ -159,3 +162,45 @@ def test_dmax_is_the_mirror_of_dmin(kind):
         if d.kind == kind:
             assert mirror(mirror(d)) is d
             assert dmax(d) is mirror(dmin(mirror(d))), d
+
+
+# --- moves: every edge of a move with its key before and after ---------------
+
+def oracle_moves(b, up):
+    """[(B', move, site, direction, bijection)] sorted by fmt(B'): the
+    bijection pairs every key of `b` with its key in B'."""
+    out = []
+    for e in edges(b):
+        move, other, oe, b_small = _edge_pair(b, e)
+        if b_small == up:
+            bij = tuple(sorted(((k, oe if k == e else k)
+                                for k in edge_locs(b)),
+                               key=lambda p: sorted(p[0])))
+            out.append((other, move, e, "up" if up else "down", bij))
+    out.sort(key=lambda t: fmt(t[0]))
+    return out
+
+
+def oracle_classify_edges(b):
+    """-1 where `b` is the smaller member of the edge-pair, else +1."""
+    return {e: -1 if _edge_pair(b, e)[3] else +1 for e in edges(b)}
+
+
+def test_moves_match_the_full_bijection():
+    binaries = [b for shape in shapes_up_to(7)
+                for b in enumerate_class(shape, 0)]
+    moves = renamed = 0
+    for b in binaries:
+        for up, got in ((True, covers(b)), (False, cocovers(b))):
+            want = oracle_moves(b, up)
+            assert [(o, s.move, s.site, s.direction) for o, s in got] \
+                == [w[:4] for w in want], b
+            for (_o, step), w in zip(got, want):
+                for old, new in w[4]:
+                    assert step.apply(old) == new, (b, step)
+                    assert step.inverse().apply(new) == old, (b, step)
+                moves += 1
+                renamed += step.new != step.site
+        assert classify_edges(b) == oracle_classify_edges(b), b
+    assert len(binaries) == 2835 and moves == 13138
+    assert renamed > 0
