@@ -111,6 +111,9 @@ def parse_generator(text, which):
                                % sections[3])
         metric = _parse_keys(sections[3][len("metric:"):], n)
     if which == "c":
+        if metric is not None:
+            raise DiagramError("a chain-operad generator has no metric "
+                               "marking, so no %r section" % sections[3])
         gen, sign = c_generator(diagram, perm, orientation)
     else:
         if metric is None and orientation is not None:

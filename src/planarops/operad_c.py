@@ -15,6 +15,7 @@ are the input counts and n is the degree of the right factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import perms
 from .diagrams import (
@@ -97,9 +98,11 @@ def compose_elements(x, i, y):
 #
 # decompose_corollas writes a generator as an expression (see formal.py)
 # whose leaves are corollas; evaluating it with c_unit, compose_elements and
-# sym_action gives the generator back.
+# sym_action gives the generator back.  The expression is a tree of tuples,
+# so one memoized copy serves q and the endomorphism evaluation alike.
 
 
+@lru_cache(maxsize=None)
 def decompose_corollas(gen):
     """Express a generator through corollas, compositions and the action."""
     n = leaf_count(gen.diagram)

@@ -33,12 +33,17 @@ def _q_corolla(diagram):
                      for b in enumerate_class(shape_class(diagram), 0))
 
 
+@lru_cache(maxsize=None)
+def _q_image(gen):
+    """q of one generator; shared, so callers get a scaled copy."""
+    return evaluate(decompose_corollas(gen), _q_corolla, compose_q_elements,
+                    q_action)
+
+
 def q_map(x):
     """The subdivision quasi-isomorphism, extended linearly; the signed
     action becomes the unsigned one."""
-    return x.map_terms(lambda gen, coef: evaluate(
-        decompose_corollas(gen), _q_corolla, compose_q_elements,
-        q_action).scale(coef))
+    return x.map_terms(lambda gen, coef: _q_image(gen).scale(coef))
 
 
 @lru_cache(maxsize=None)
@@ -54,9 +59,14 @@ def _p_fullmetric(diagram):
                      if leq(dmax(s), d_min))
 
 
+@lru_cache(maxsize=None)
+def _p_image(gen):
+    """p of one generator; shared, so callers get a scaled copy."""
+    return evaluate(decompose_nonmetric(gen), _p_fullmetric,
+                    compose_c_elements, sym_action)
+
+
 def p_map(x):
     """The quasi-inverse of q, extended linearly; the sign character of the
     action reappears."""
-    return x.map_terms(lambda gen, coef: evaluate(
-        decompose_nonmetric(gen), _p_fullmetric, compose_c_elements,
-        sym_action).scale(coef))
+    return x.map_terms(lambda gen, coef: _p_image(gen).scale(coef))

@@ -178,14 +178,6 @@ def check_contractibility(cap):
 def check_chain_maps(cap):
     """q and p commute with the boundaries on all generators."""
     cap = min(cap, 7)
-    pcache = {}
-
-    def p_of(gen):
-        got = pcache.get(gen)
-        if got is None:
-            got = pcache[gen] = p_map(unit(gen))
-        return got
-
     gens = 0
     for shape in shapes_up_to(cap):
         for d in class_diagrams(shape):
@@ -193,12 +185,8 @@ def check_chain_maps(cap):
             if boundary_q(q_map(x)) != q_map(boundary_c(x)):
                 return False, "q fails on %s" % fmt(d)
         for gen in q_basis(shape):
-            lhs = boundary_c(p_of(gen))
-            rhs = FormalSum()
-            for g2, c2 in boundary_q(unit(gen)).terms.items():
-                for g3, c3 in p_of(g2).terms.items():
-                    rhs.add_term(g3, c2 * c3)
-            if lhs != rhs:
+            x = unit(gen)
+            if boundary_c(p_map(x)) != p_map(boundary_q(x)):
                 return False, "p fails on %r" % (gen,)
             gens += 1
     return True, "both maps on every generator up to %d leaves (%d cubical)" \

@@ -192,11 +192,15 @@ def test_bad_numbers_say_what_was_expected(capsys):
 
 
 def test_unknown_generator_sections_are_input_errors(capsys):
-    cases = [("pmap", "((* * *) ; id ; [] ; metrc:[])", "metrc:[]"),
-             ("pmap", "((* * *) ; id ; [] ; metric:[] ; junk)", "junk"),
-             ("qmap", "((* * *) ; id ; [] ; extra)", "extra")]
+    cases = [(["pmap"], "((* * *) ; id ; [] ; metrc:[])", "metrc:[]"),
+             (["pmap"], "((* * *) ; id ; [] ; metric:[] ; junk)", "junk"),
+             (["qmap"], "((* * *) ; id ; [] ; extra)", "extra"),
+             # a metric marking means nothing in the chain operad
+             (["boundary", "c"], "((* * *) ; id ; [] ; metric:[1-2])",
+              "metric:[1-2]"),
+             (["qmap"], "((* * *) ; id ; [] ; metric:[])", "metric:[]")]
     for command, literal, section in cases:
-        code = main([command, literal])
+        code = main(command + [literal])
         captured = capsys.readouterr()
         assert code == 2, literal
         assert captured.out == "" and section in captured.err, captured.err

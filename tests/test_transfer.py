@@ -6,14 +6,15 @@ from planarops.diagrams import (
     enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
     tree_corolla,
 )
-from planarops.formal import unit
+from planarops.formal import FormalSum, unit
 from planarops.operad_c import (
     CGenerator, boundary_c, c_generator, c_unit, compose_elements as comp_c,
+    decompose_corollas,
 )
 from planarops.operad_q import (
     boundary_q, compose_elements as comp_q, q_unit,
 )
-from planarops.orientations import orient, xi
+from planarops.orientations import omega_std, orient, xi
 from planarops.tamari import dmax, dmin
 from planarops.transfer import p_map, q_map
 
@@ -84,7 +85,6 @@ def test_p_on_corollas():
 
 
 def test_p_on_fully_metric_binaries():
-    from planarops.orientations import omega_std
     for shape in SMALL_SHAPES:
         c = corolla_of(shape)
         for b in enumerate_class(shape, 0):
@@ -141,3 +141,52 @@ def test_qp_augmentation_on_vertices():
             x = q_unit(b, metric=())
             img = q_map(p_map(x))
             assert sum(c for _g, c in img) == 1
+
+
+def test_returned_images_are_private_copies():
+    # q and p memoize the image of each generator; a caller may change the
+    # sum it gets back without reaching the shared image
+    cases = [(q_map, c_unit(parse("((* *) * *)"))),
+             (q_map, c_unit(tree_corolla(4))),
+             (p_map, q_unit(tree_corolla(4), metric=())),
+             (p_map, q_unit(dmax(tree_corolla(4)),
+                            orientation=omega_std(dmax(tree_corolla(4)))))]
+    for fn, x in cases:
+        first = fn(x)
+        expected = FormalSum(dict(first.terms))
+        assert expected
+        key, coef = next(iter(first.terms.items()))
+        first.add_term(key, -coef)
+        first.add_term("not a generator", 1)
+        again = fn(x)
+        assert again == expected and again is not first
+
+
+def _termwise(fn, a, b):
+    return fn(a).scale(3) - fn(b).scale(3)
+
+
+def test_maps_are_linear_over_signed_coefficients():
+    # 3a - 3b, with a pair of p images that share terms so that some of
+    # them cancel
+    for shape in SMALL_SHAPES[:4]:
+        cs = list(class_c_units(shape))
+        for a, b in zip(cs, cs[1:]):
+            x = a.scale(3) - b.scale(3)
+            assert q_map(x) == _termwise(q_map, a, b)
+    cancelled = False
+    for shape in SMALL_SHAPES[:4]:
+        qs = list(class_q_units(shape))
+        for a, b in itertools.combinations(qs, 2):
+            x = a.scale(3) - b.scale(3)
+            got = p_map(x)
+            assert got == _termwise(p_map, a, b)
+            cancelled |= len(got) < len(p_map(a)) + len(p_map(b))
+    assert cancelled
+
+
+def test_corolla_decomposition_is_shared():
+    for shape in SMALL_SHAPES:
+        for x in class_c_units(shape):
+            (gen, _coef), = x.terms.items()
+            assert decompose_corollas(gen) is decompose_corollas(gen)

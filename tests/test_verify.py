@@ -35,23 +35,17 @@ def test_run_suite_keeps_the_traceback_of_a_crash(capsys, monkeypatch):
     assert 'raise KeyError("lost generator")' in out
 
 
-def test_flipped_composition_sign_fails_chain_maps():
+def test_flipped_composition_sign_fails_chain_maps(monkeypatch, fresh_caches):
     # mutation check: corrupting the composition sign must not go unnoticed
     original = operad_c.compose_c
 
     def flipped(x, i, y):
         return original(x, i, y).scale(-1)
 
-    operad_c.compose_c = flipped
-    transfer._p_fullmetric.cache_clear()
-    transfer._q_corolla.cache_clear()
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(operad_c, "compose_c", flipped)
         ok, _detail = verify.check_chain_maps(4)
         ok2, _detail2 = verify.check_projection_inverts_subdivision(4)
-    finally:
-        operad_c.compose_c = original
-        transfer._p_fullmetric.cache_clear()
-        transfer._q_corolla.cache_clear()
     assert not ok or not ok2
 
 
@@ -65,13 +59,6 @@ def _sign_without(term):
         terms.pop(term, None)
         return (-1) ** sum(terms.values())
     return sign
-
-
-def _clear_sign_caches():
-    orientations.xi.cache_clear()
-    orientations.omega_std.cache_clear()
-    transfer._q_corolla.cache_clear()
-    transfer._p_fullmetric.cache_clear()
 
 
 def test_sign_terms_match_composition_sign():
@@ -93,17 +80,14 @@ def test_sign_terms_match_composition_sign():
 
 
 @pytest.mark.parametrize("term", ["i(l+1)", "k deg(outer)", "rot(n-1)"])
-def test_each_composition_sign_term_is_load_bearing(monkeypatch, term):
+def test_each_composition_sign_term_is_load_bearing(monkeypatch, fresh_caches,
+                                                  term):
     # mutation check: dropping any one term of the merged sign must make
     # the chain-map check fail at cap 5 (cap 4 misses "k deg(outer)")
-    _clear_sign_caches()
-    try:
-        with monkeypatch.context() as patch:
-            for module in (orientations, operad_c):
-                patch.setattr(module, "composition_sign", _sign_without(term))
-            ok, _detail = verify.check_chain_maps(5)
-    finally:
-        _clear_sign_caches()
+    with monkeypatch.context() as patch:
+        for module in (orientations, operad_c):
+            patch.setattr(module, "composition_sign", _sign_without(term))
+        ok, _detail = verify.check_chain_maps(5)
     assert not ok, term
 
 
@@ -119,27 +103,25 @@ def _contract_without_rr1(sub, full):
 
 
 @pytest.mark.parametrize("mutant", ["reorder parity", "r(r-1)/2"])
-def test_pair_contract_signs_are_load_bearing(monkeypatch, mutant):
+def test_pair_contract_signs_are_load_bearing(monkeypatch, fresh_caches,
+                                              mutant):
     # mutation check: the induced orientation omega_sd ends in pair_contract;
     # dropping either of its signs must make the chain-map check fail
     from types import SimpleNamespace
     from planarops import perms
-    _clear_sign_caches()
-    try:
-        with monkeypatch.context() as patch:
-            if mutant == "reorder parity":
-                patch.setattr(orientations, "perms", SimpleNamespace(
-                    **{**vars(perms), "parity": lambda seq: 1}))
-            else:
-                patch.setattr(orientations, "pair_contract",
-                              _contract_without_rr1)
-            ok, _detail = verify.check_chain_maps(5)
-    finally:
-        _clear_sign_caches()
+    with monkeypatch.context() as patch:
+        if mutant == "reorder parity":
+            patch.setattr(orientations, "perms", SimpleNamespace(
+                **{**vars(perms), "parity": lambda seq: 1}))
+        else:
+            patch.setattr(orientations, "pair_contract",
+                          _contract_without_rr1)
+        ok, _detail = verify.check_chain_maps(5)
     assert not ok, mutant
 
 
-def test_check_endomorphisms_sees_the_sigma_sharp_koszul_sign(monkeypatch):
+def test_check_endomorphisms_sees_the_sigma_sharp_koszul_sign(monkeypatch,
+                                                            fresh_caches):
     # mutation check: the draws of check_endomorphisms carry random
     # labelings, so sigma_sharp without its Koszul sign must fail them
     from types import SimpleNamespace
@@ -151,36 +133,28 @@ def test_check_endomorphisms_sees_the_sigma_sharp_koszul_sign(monkeypatch):
     assert "multiplicativity" in detail
 
 
-def test_graft_bookkeeping_check_survives_memoization(monkeypatch):
+def test_graft_bookkeeping_check_survives_memoization(monkeypatch,
+                                                      fresh_caches):
     # mutation check: a splice that drops the guest must trip graft's
     # self-check, which runs once for each distinct (host, leaf, guest)
     from planarops import diagrams
     host, guest = diagrams.tree_corolla(3), diagrams.tree_corolla(2)
-    diagrams.graft.cache_clear()
-    try:
-        good = diagrams.graft(host, 2, guest)
-        monkeypatch.setattr(diagrams, "_splice_structure",
-                            lambda d, pos, e: d)
-        assert diagrams.graft(host, 2, guest) is good     # a cache hit
-        diagrams.graft.cache_clear()
-        with pytest.raises(diagrams.DiagramError,
-                           match="graft bookkeeping failed"):
-            diagrams.graft(host, 2, guest)
-    finally:
-        diagrams.graft.cache_clear()
+    good = diagrams.graft(host, 2, guest)
+    monkeypatch.setattr(diagrams, "_splice_structure", lambda d, pos, e: d)
+    assert diagrams.graft(host, 2, guest) is good     # a cache hit
+    fresh_caches()
+    with pytest.raises(diagrams.DiagramError,
+                       match="graft bookkeeping failed"):
+        diagrams.graft(host, 2, guest)
 
 
-def test_omega_std_global_factor_is_load_bearing(monkeypatch):
+def test_omega_std_global_factor_is_load_bearing(monkeypatch, fresh_caches):
     # mutation check: omega_std without (-1)^((n-2)(n-3)/2) is xi, and must
     # fail the chain-map check at cap 5
-    _clear_sign_caches()
-    try:
-        with monkeypatch.context() as patch:
-            for module in (orientations, transfer, verify):
-                patch.setattr(module, "omega_std", orientations.xi)
-            ok, _detail = verify.check_chain_maps(5)
-    finally:
-        _clear_sign_caches()
+    with monkeypatch.context() as patch:
+        for module in (orientations, transfer, verify):
+            patch.setattr(module, "omega_std", orientations.xi)
+        ok, _detail = verify.check_chain_maps(5)
     assert not ok
 
 
@@ -227,18 +201,14 @@ def test_delta_q_copy_matches_delta_q():
     assert seen_odd
 
 
-def test_delta_q_shuffle_sign_is_load_bearing(monkeypatch):
+def test_delta_q_shuffle_sign_is_load_bearing(monkeypatch, fresh_caches):
     # mutation check: delta_q without (-1)^rho must fail the diagonal check
     from planarops import diagonal
     mutant = _delta_q_with(lambda rho: 1)
-    diagonal.support_formula.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            for module in (diagonal, verify):
-                patch.setattr(module, "delta_q", mutant)
-            ok, _detail = verify.check_diagonal(5)
-    finally:
-        diagonal.support_formula.cache_clear()
+    with monkeypatch.context() as patch:
+        for module in (diagonal, verify):
+            patch.setattr(module, "delta_q", mutant)
+        ok, _detail = verify.check_diagonal(5)
     assert not ok
 
 
@@ -280,7 +250,8 @@ def test_compose_at_copy_matches_compose_at():
     assert seen_sign
 
 
-def test_check_endomorphisms_sees_the_compose_at_koszul_sign(monkeypatch):
+def test_check_endomorphisms_sees_the_compose_at_koszul_sign(monkeypatch,
+                                                            fresh_caches):
     # mutation check: compose_at without its Koszul sign must fail the
     # relabeled multiplicativity draws of check_endomorphisms
     from planarops import endo
