@@ -35,8 +35,8 @@ from .transfer import p_map, q_map
 
 def delta_q(x):
     """Serre diagonal of a sum of cubical generators."""
-    out = FormalSum()
-    for gen, coef in x.terms.items():
+    def image(gen):
+        out = FormalSum()
         m = gen.metric
         for r in range(len(m) + 1):
             for xs in combinations(range(len(m)), r):
@@ -49,9 +49,9 @@ def delta_q(x):
                                    tuple(m[i] for i in xs))
                 # (-1)^rho counts the pairs chosen i < kept j: the
                 # inversions of the kept indices followed by the chosen ones
-                out.add_term((left, right),
-                             coef * perms.parity(kept + list(xs)))
-    return out
+                out.add_term((left, right), perms.parity(kept + list(xs)))
+        return out
+    return x.apply(image)
 
 
 def _pair(a, b):
@@ -60,12 +60,12 @@ def _pair(a, b):
 
 def _tensor_boundary(x, boundary, degree_of):
     # the Koszul sign of the right factor is the degree of the left one
-    out = FormalSum()
-    for (a, b), coef in x.terms.items():
-        bilinear(boundary(unit(a)), unit(b), _pair, coef, out)
-        bilinear(unit(a), boundary(unit(b)), _pair,
-                 coef * (-1) ** degree_of(a), out)
-    return out
+    def image(ab):
+        a, b = ab
+        left = boundary(unit(a)).apply(lambda a2: _pair(a2, b))
+        right = boundary(unit(b)).apply(lambda b2: _pair(a, b2))
+        return left.add(right, (-1) ** degree_of(a))
+    return x.apply(image)
 
 
 def q_tensor_boundary(x):
@@ -79,10 +79,7 @@ def c_tensor_boundary(x):
 
 def _both_factors(f, x):
     """Apply the linear map f to both factors of a sum of tensor generators."""
-    out = FormalSum()
-    for (a, b), coef in x.terms.items():
-        bilinear(f(unit(a)), f(unit(b)), _pair, coef, out)
-    return out
+    return x.apply(lambda ab: bilinear(f(unit(ab[0])), f(unit(ab[1])), _pair))
 
 
 def p_tensor(x):
@@ -100,7 +97,8 @@ def c_tensor_compose(x, i, y):
     def term(ab, uv):
         (a, b), (u, v) = ab, uv
         sign = (-1) ** (degree(b.diagram) * degree(u.diagram))
-        return bilinear(compose_c(a, i, u), compose_c(b, i, v), _pair, sign)
+        return bilinear(compose_c(a, i, u), compose_c(b, i, v),
+                        _pair).scale(sign)
     return bilinear(x, y, term)
 
 

@@ -15,21 +15,10 @@ and intertwines the actions.
 
 from __future__ import annotations
 
-_BOUND = 2 ** 63
-
-
-class OverflowGuard(ArithmeticError):
-    pass
-
-
-def _check(n):
-    if not -_BOUND < n < _BOUND:
-        raise OverflowGuard("coefficient overflow: %d" % n)
-    return n
-
 
 class FormalSum:
-    """A finite integer combination of basis keys; zero coefficients vanish."""
+    """A finite integer combination of basis keys; zero coefficients vanish.
+    Only `add_term` and `add` change a sum in place, so it is unhashable."""
 
     __slots__ = ("terms",)
 
@@ -42,45 +31,41 @@ class FormalSum:
     def add_term(self, key, coef):
         if coef == 0:
             return
-        new = _check(self.terms.get(key, 0) + coef)
+        new = self.terms.get(key, 0) + coef
         if new:
             self.terms[key] = new
         else:
             del self.terms[key]
 
-    def __add__(self, other):
-        out = FormalSum(dict(self.terms))
-        for key, coef in other.terms.items():
-            out.add_term(key, coef)
-        return out
+    def add(self, other, coef=1):
+        """Add coef * other to this sum in place and return it."""
+        for key, c in other.terms.items():
+            self.add_term(key, coef * c)
+        return self
 
-    def __sub__(self, other):
-        out = FormalSum(dict(self.terms))
-        for key, coef in other.terms.items():
-            out.add_term(key, -coef)
-        return out
-
-    def __neg__(self):
-        return FormalSum({k: -c for k, c in self.terms.items()})
-
-    def scale(self, n):
-        if n == 0:
-            return FormalSum()
-        return FormalSum({k: _check(c * n) for k, c in self.terms.items()})
-
-    def map_terms(self, fn):
-        """fn(key, coef) -> FormalSum; returns the sum over all terms."""
+    def apply(self, image):
+        """The linear extension of `image`: the sum of coef * image(key)
+        over the terms.  Each image(key) is a FormalSum that is only read,
+        so a memoized image can be returned as it is."""
         out = FormalSum()
         for key, coef in self.terms.items():
-            for k2, c2 in fn(key, coef).terms.items():
-                out.add_term(k2, c2)
+            out.add(image(key), coef)
         return out
+
+    def __add__(self, other):
+        return FormalSum().add(self).add(other)
+
+    def __sub__(self, other):
+        return FormalSum().add(self).add(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, n):
+        return FormalSum().add(self, n)
 
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -104,16 +89,9 @@ def unit(key, coef=1):
     return FormalSum(((key, coef),))
 
 
-def bilinear(x, y, fn, coef=1, out=None):
-    """Add coef * cx * cy * fn(kx, ky) over every pair of terms of x and y
-    to `out` (a new sum by default) and return it; fn gives a FormalSum."""
-    out = FormalSum() if out is None else out
-    for kx, cx in x.terms.items():
-        for ky, cy in y.terms.items():
-            c = coef * cx * cy
-            for k, cz in fn(kx, ky).terms.items():
-                out.add_term(k, c * cz)
-    return out
+def bilinear(x, y, fn):
+    """The bilinear extension of fn(kx, ky), which gives a FormalSum."""
+    return x.apply(lambda kx: y.apply(lambda ky: fn(kx, ky)))
 
 
 def evaluate(expr, leaf, compose, act):

@@ -73,6 +73,8 @@ def sparse_rank(rows):
 def cell_generators(shape, which):
     """The cells of the chain ("c") or cubical ("q") complex as generators,
     by degree in construction order, and the boundary of that complex."""
+    if leaf_count(corolla_of(shape)) > 8:
+        raise ValueError("shape class exceeds the size cap")
     top = degree(corolla_of(shape))
     if which == "c":
         return ([[c_generator(d)[0] for d in enumerate_class(shape, k)]
@@ -144,8 +146,6 @@ def collapsed_betti(f_vector, matrices):
 
 
 def homology_report(shape, which):
-    if leaf_count(corolla_of(shape)) > 8:
-        raise ValueError("shape class exceeds the size cap")
     keyed, bnd = cell_generators(shape, which)
     f_vector = tuple(len(layer) for layer in keyed)
     euler = sum((-1) ** d * f for d, f in enumerate(f_vector))

@@ -56,25 +56,25 @@ def c_unit(diagram, perm=None, orientation=None, coef=1):
 
 def boundary_c(x):
     """Sum over one-edge expansions, the new edge wedged in front."""
-    def term(gen, coef):
+    def image(gen):
         out = FormalSum()
         base = Orientation(1, gen.keys)
         for d2, e2 in expansions(gen.diagram):
             o2 = wedge(orient([e2]), base)
-            out.add_term(CGenerator(d2, gen.perm, o2.keys), coef * o2.sign)
+            out.add_term(CGenerator(d2, gen.perm, o2.keys), o2.sign)
         return out
-    return x.map_terms(term)
+    return x.apply(image)
 
 
 def sym_action(sigma, x):
     """The signed relabeling action, extended linearly."""
-    def term(gen, coef):
+    def image(gen):
         if len(sigma) != len(gen.perm):
             raise DiagramError("permutation size mismatch")
         new_perm = perms.compose(gen.perm, sigma)
         return unit(CGenerator(gen.diagram, new_perm, gen.keys),
-                    coef * perms.sign(sigma))
-    return x.map_terms(term)
+                    perms.sign(sigma))
+    return x.apply(image)
 
 
 def compose_c(x, i, y):

@@ -56,26 +56,26 @@ def q_unit(diagram, perm=None, metric=None, orientation=None, coef=1):
 
 def boundary_q(x):
     """sum_j (-1)^j [contract e_j  -  mark e_j non-metric]."""
-    def term(gen, coef):
+    def image(gen):
         out = FormalSum()
         for j, e in enumerate(gen.metric, start=1):
             rest = tuple(k for k in gen.metric if k != e)
-            sign = coef * (-1) ** j
+            sign = (-1) ** j
             out.add_term(QGenerator(contract(gen.diagram, e), gen.perm, rest),
                          sign)
             out.add_term(QGenerator(gen.diagram, gen.perm, rest), -sign)
         return out
-    return x.map_terms(term)
+    return x.apply(image)
 
 
 def q_action(sigma, x):
     """The unsigned relabeling action."""
-    def term(gen, coef):
+    def image(gen):
         if len(sigma) != len(gen.perm):
             raise DiagramError("permutation size mismatch")
         return unit(QGenerator(gen.diagram, perms.compose(gen.perm, sigma),
-                               gen.metric), coef)
-    return x.map_terms(term)
+                               gen.metric))
+    return x.apply(image)
 
 
 def compose_q(x, i, y):

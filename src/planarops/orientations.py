@@ -38,29 +38,16 @@ class Orientation:
         return Orientation(-self.sign, self.keys)
 
 
-def _key_order(key):
-    return tuple(sorted(key))
-
-
-def _sort_parity(keys):
-    keys = list(keys)
-    sign = 1
-    for i in range(1, len(keys)):           # insertion sort, counting swaps
-        j = i
-        while j > 0 and _key_order(keys[j - 1]) > _key_order(keys[j]):
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
-            sign = -sign
-            j -= 1
-    return keys, sign
-
-
 def orient(keys, sign=1):
-    """Normalize a wedge of edge keys; None when a factor repeats."""
+    """Normalize a wedge of edge keys; None when a factor repeats.  The
+    keys sort as in `diagrams.edges`, and the parity of the sort joins the
+    sign."""
     keys = list(keys)
     if len(set(keys)) != len(keys):
         return None
-    sorted_keys, parity = _sort_parity(keys)
-    return Orientation(sign * parity, tuple(sorted_keys))
+    order = sorted(range(len(keys)), key=lambda i: sorted(keys[i]))
+    return Orientation(sign * perms.parity(order),
+                       tuple([keys[i] for i in order]))
 
 
 def wedge(a, b):
@@ -68,12 +55,6 @@ def wedge(a, b):
     if a is None or b is None:
         return None
     return orient(a.keys + b.keys, a.sign * b.sign)
-
-
-def rename(o, mapping):
-    if o is None:
-        return None
-    return orient([mapping[k] for k in o.keys], o.sign)
 
 
 def pair_contract(sub, full):

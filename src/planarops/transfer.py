@@ -35,7 +35,7 @@ def _q_corolla(diagram):
 
 @lru_cache(maxsize=None)
 def _q_image(gen):
-    """q of one generator; shared, so callers get a scaled copy."""
+    """q of one generator; shared, and only read by `apply`."""
     return evaluate(decompose_corollas(gen), _q_corolla, compose_q_elements,
                     q_action)
 
@@ -43,7 +43,7 @@ def _q_image(gen):
 def q_map(x):
     """The subdivision quasi-isomorphism, extended linearly; the signed
     action becomes the unsigned one."""
-    return x.map_terms(lambda gen, coef: _q_image(gen).scale(coef))
+    return x.apply(_q_image)
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +61,7 @@ def _p_fullmetric(diagram):
 
 @lru_cache(maxsize=None)
 def _p_image(gen):
-    """p of one generator; shared, so callers get a scaled copy."""
+    """p of one generator; shared, and only read by `apply`."""
     return evaluate(decompose_nonmetric(gen), _p_fullmetric,
                     compose_c_elements, sym_action)
 
@@ -69,4 +69,4 @@ def _p_image(gen):
 def p_map(x):
     """The quasi-inverse of q, extended linearly; the sign character of the
     action reappears."""
-    return x.map_terms(lambda gen, coef: _p_image(gen).scale(coef))
+    return x.apply(_p_image)

@@ -91,6 +91,16 @@ def test_homology(capsys):
     assert "(11, 15, 5)" in out
 
 
+@pytest.mark.parametrize("argv", [["homology", "T10"],
+                                  ["homology", "T10", "--dot"],
+                                  ["homology", "I4,4", "--q", "--dot"]])
+def test_homology_size_cap_holds_on_every_path(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: shape class exceeds the size cap" in captured.err
+
+
 def test_minmax_dot(capsys):
     code, out = run(capsys, "minmax", "(* * *)", "--dot")
     assert out.startswith("digraph")

@@ -6,8 +6,8 @@ from planarops.diagrams import (
     corolla_of,
 )
 from planarops.orientations import (
-    Orientation, omega_sd, omega_std, orient, pair_contract, rename,
-    transfer, wedge, xi, xi_via,
+    Orientation, omega_sd, omega_std, orient, pair_contract, transfer,
+    wedge, xi, xi_via,
 )
 from planarops.tamari import cocovers, covers, dmax, dmin
 
