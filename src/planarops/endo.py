@@ -23,7 +23,7 @@ from fractions import Fraction
 from .diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, shape_class, shapes_up_to,
 )
-from .formal import evaluate
+from .formal import FormalSum, evaluate
 from .operad_c import decompose_corollas
 from . import perms
 
@@ -57,87 +57,46 @@ class GradedModule:
         return self.names.index(name)
 
 
-class MultiMap:
+class MultiMap(FormalSum):
     """A homogeneous multilinear map with sparse exact-rational entries.
 
-    `entries` is ``{args: {output: coef}}``: `args` is a tuple of basis
-    indices and each output a basis index of the module.  A scalar-valued
-    map (``out == "scalar"``) has the single output ``None``, of degree 0.
+    A formal sum whose keys are ``(args, output)``: `args` is a tuple of
+    basis indices and `output` a basis index of the module.  A
+    scalar-valued map (``out == "scalar"``) has the single output ``None``,
+    of degree 0.  Every entry is checked against the type of the map.
     """
 
-    __slots__ = ("module", "arity", "out", "degree", "entries")
+    __slots__ = ("module", "arity", "out", "degree")
 
-    def __init__(self, module, arity, out, degree, entries=()):
+    def __init__(self, module, arity, out, degree, terms=()):
         self.module = module
         self.arity = arity
         self.out = out                      # "module" | "scalar"
         self.degree = degree
-        self.entries = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for args, row in items:
-            self._add(args, row)
+        super().__init__(terms)
 
-    def _add(self, args, row):
-        """Add the coefficients of `row` ({output: coef}) at `args`."""
+    def zero(self):
+        return MultiMap(self.module, self.arity, self.out, self.degree)
+
+    def add_term(self, key, coef):
+        args, o = key
         if len(args) != self.arity:
             raise StructureError("entry %s has arity %d, not %d"
                                  % (args, len(args), self.arity))
+        if coef == 0:
+            return
+        if (o is None) != (self.out == "scalar"):
+            raise StructureError("output %r does not fit a %s map"
+                                 % (o, self.out))
         degs = self.module.degrees
-        base = sum(degs[a] for a in args) + self.degree
-        for o, c in row.items():
-            if c == 0:
-                continue
-            if (o is None) != (self.out == "scalar"):
-                raise StructureError("output %r does not fit a %s map"
-                                     % (o, self.out))
-            if base != (0 if o is None else degs[o]):
-                raise StructureError("inhomogeneous entry %s -> %s"
-                                     % (args, o))
-            target = self.entries.setdefault(args, {})
-            new = target.get(o, Fraction(0)) + c
-            if new:
-                target[o] = new
-            else:
-                del target[o]
-                if not target:
-                    del self.entries[args]
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiMap) and self.arity == other.arity
-                and self.out == other.out and self.degree == other.degree
-                and self.entries == other.entries)
+        if (sum(degs[a] for a in args) + self.degree
+                != (0 if o is None else degs[o])):
+            raise StructureError("inhomogeneous entry %s -> %s" % (args, o))
+        FormalSum.add_term(self, key, coef)
 
     def __repr__(self):
-        return "MultiMap(arity=%d, out=%s, deg=%d, %d entries)" % (
-            self.arity, self.out, self.degree, len(self.entries))
-
-    def items(self):
-        return [(args, o, c) for args, row in self.entries.items()
-                for o, c in row.items()]
-
-    def support(self):
-        return {(args, o) for args, o, _c in self.items()}
-
-    def scale(self, n):
-        return MultiMap(self.module, self.arity, self.out, self.degree,
-                        {a: {o: c * n for o, c in row.items()}
-                         for a, row in self.entries.items()})
-
-    def plus(self, other):
-        if (self.arity, self.out, self.degree) != (other.arity, other.out,
-                                                   other.degree):
-            raise StructureError("cannot add maps of different type")
-        out = MultiMap(self.module, self.arity, self.out, self.degree)
-        out.entries = {a: dict(row) for a, row in self.entries.items()}
-        for args, row in other.entries.items():
-            out._add(args, row)
-        return out
-
-    def minus(self, other):
-        return self.plus(other.scale(-1))
+        return "MultiMap(arity=%d, out=%s, deg=%d, %d terms)" % (
+            self.arity, self.out, self.degree, len(self.terms))
 
 
 def compose_at(f, i, g):
@@ -149,14 +108,14 @@ def compose_at(f, i, g):
     degs = f.module.degrees
     out = MultiMap(f.module, f.arity + g.arity - 1, f.out,
                    f.degree + g.degree)
-    for f_args, f_out, f_c in f.items():
-        for g_args, g_out, g_c in g.items():
+    for (f_args, f_out), f_c in f.terms.items():
+        for (g_args, g_out), g_c in g.terms.items():
             if f_args[i - 1] != g_out:
                 continue
             sign = neg_one_pow(
                 g.degree * sum(degs[a] for a in f_args[:i - 1]))
             args = f_args[:i - 1] + g_args + f_args[i:]
-            out._add(args, {f_out: f_c * g_c * sign})
+            out.add_term((args, f_out), f_c * g_c * sign)
     return out
 
 
@@ -167,28 +126,15 @@ def sigma_sharp(f, sigma):
     """
     inv = perms.invert(sigma)
     degs = f.module.degrees
-    out = MultiMap(f.module, f.arity, f.out, f.degree)
-    for f_args, f_out, f_c in f.items():
+    out = f.zero()
+    for (f_args, f_out), f_c in f.terms.items():
         # f receives (x_{inv(1)}, ..., x_{inv(k)}) = f_args, so x_j is
         # f_args at position sigma(j)
         x = tuple(f_args[p - 1] for p in sigma)
         # Koszul: each crossing of two odd factors costs a sign
         sign = perms.parity([inv[r] for r in range(f.arity)
                              if degs[f_args[r]] % 2])
-        out._add(x, {f_out: f_c * sign})
-    return out
-
-
-def rotate_last_to_front(f):
-    """f composed with one back-to-front rotation of tensor factors."""
-    degs = f.module.degrees
-    out = MultiMap(f.module, f.arity, f.out, f.degree)
-    for f_args, f_out, f_c in f.items():
-        # f saw (x_k, x_1, ..., x_{k-1}); the outer map's arguments are x
-        x = f_args[1:] + f_args[:1]
-        sign = neg_one_pow(
-            degs[f_args[0]] * sum(degs[a] for a in f_args[1:]))
-        out._add(x, {f_out: f_c * sign})
+        out.add_term((x, f_out), f_c * sign)
     return out
 
 
@@ -200,31 +146,26 @@ def precompose_differential(f, d):
     degs = f.module.degrees
     out = MultiMap(f.module, f.arity, f.out, f.degree + 1)
     d_into = {}                     # mid -> [(src, c)] with d(src) = ... + c mid
-    for (src,), row in d.entries.items():
-        for mid, c in row.items():
-            d_into.setdefault(mid, []).append((src, c))
-    for f_args, f_row in f.entries.items():
+    for ((src,), mid), c in d.terms.items():
+        d_into.setdefault(mid, []).append((src, c))
+    for (f_args, o), fc in f.terms.items():
         for i, mid in enumerate(f_args):
             sources = d_into.get(mid)
             if not sources:
                 continue
             sign = neg_one_pow(sum(degs[a] for a in f_args[:i]))
             for src, c in sources:
-                out._add(f_args[:i] + (src,) + f_args[i + 1:],
-                         {o: fc * c * sign for o, fc in f_row.items()})
+                out.add_term((f_args[:i] + (src,) + f_args[i + 1:], o),
+                             fc * c * sign)
     return out
 
 
 def commutator(d, f):
-    """[D, f] = d o f - (-1)^{|f|} f o d_tensor."""
-    lhs = MultiMap(f.module, f.arity, f.out, f.degree + 1)
-    d_rows = {src: row for (src,), row in d.entries.items()}
-    for args, o, c in f.items():
-        d_row = d_rows.get(o)        # None for the output of a scalar map
-        if d_row:
-            lhs._add(args, {o2: c * dc for o2, dc in d_row.items()})
-    return lhs.plus(
-        precompose_differential(f, d).scale(-neg_one_pow(f.degree)))
+    """[D, f] = d o f - (-1)^{|f|} f o d_tensor; d o f is zero for a
+    scalar-valued f."""
+    out = (compose_at(d, 1, f) if f.out == "module"
+           else MultiMap(f.module, f.arity, f.out, f.degree + 1))
+    return out.add(precompose_differential(f, d), -neg_one_pow(f.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +231,7 @@ def eval_generator(gen, structures):
 
 def eval_element(x, structures):
     """Linear extension of the operad map over a formal sum."""
-    out = None
-    for gen, coef in x.terms.items():
-        val = eval_generator(gen, structures).scale(coef)
-        out = val if out is None else out.plus(val)
-    return out
-
-
-def maps_equal(a, b):
-    """Equality of possibly-None, possibly-empty multilinear maps."""
-    if a is None or not a:
-        return b is None or not b
-    return a == b
+    return x.apply(lambda gen: eval_generator(gen, structures))
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +247,14 @@ def maps_equal(a, b):
 # inputs round the pairing; that half is written out on its own.
 
 def _insertions(total, k, first, pick):
-    """total minus the signed insertions at slots first..ell; `pick(i, j,
-    ell)` gives (outer, inner)."""
+    """Subtract the signed insertions at slots first..ell from `total`, a
+    map the caller built, in place; `pick(i, j, ell)` gives (outer, inner)."""
     for j in range(2, k):
         ell = k + 1 - j
         for i in range(first, ell + 1):
             outer, inner = pick(i, j, ell)
-            term = compose_at(outer, i, inner)
-            total = total.minus(term.scale(neg_one_pow(i * (j + 1) + j * ell)))
+            total.add(compose_at(outer, i, inner),
+                      -neg_one_pow(i * (j + 1) + j * ell))
     return total
 
 
@@ -365,7 +295,8 @@ def residual_inner(structures, kp, kpp):
     s = structures
     k = kp + kpp + 2
     total = commutator(s.d, s.rho_map(kp, kpp))
-    # compositions at the first module slot, after rotating j' inputs
+    # compositions at the first module slot, then jp inputs rotated from
+    # the back round to the front of the pairing
     for jp in range(0, kpp + 1):
         for jpp in range(0, kp + 1):
             if jp + jpp < 1:
@@ -373,11 +304,10 @@ def residual_inner(structures, kp, kpp):
             j = jp + jpp + 1
             ell = k - jp - jpp
             outer = s.rho_map(kp - jpp, kpp - jp)
-            term = compose_at(outer, 1, s.lam_map(jp, jpp))
-            for _ in range(jp):
-                term = rotate_last_to_front(term)
-            sign = (-1) ** ((j + 1) + j * ell + jp * (jpp + ell))
-            total = total.minus(term.scale(sign))
+            term = sigma_sharp(compose_at(outer, 1, s.lam_map(jp, jpp)),
+                               perms.rotation(k, -jp))
+            total.add(term,
+                      -neg_one_pow((j + 1) + j * ell + jp * (jpp + ell)))
     return _insertions(total, k, 2,
                        _module_slot_pick(s, s.rho_map, 2, kp, kpp))
 
@@ -413,34 +343,42 @@ def tensor_module(ma, mb):
     return GradedModule(names, degrees)
 
 
+def identity_map(module):
+    return MultiMap(module, 1, "module", 0,
+                    [(((a,), a), 1) for a in range(module.dim)])
+
+
+def tensor_maps(fa, fb):
+    """fa (x) fb on A (x) B, with the arity and output kind of fa:
+
+        (a_1|b_1, ..., a_n|b_n) -> +- fa(a_1, ..., a_n) | fb(b_1, ..., b_n)
+
+    with the Koszul sign of moving fb past a_1, ..., a_n and of
+    unshuffling the inputs to a_1, ..., a_n, b_1, ..., b_n.  This is the
+    one sign rule of A (x) B: its differential and every evaluated map."""
+    da, db = fa.module.degrees, fb.module.degrees
+    dim_b = fb.module.dim
+    n = fa.arity
+    out = MultiMap(tensor_module(fa.module, fb.module), n, fa.out,
+                   fa.degree + fb.degree)
+    for (a_args, a_out), a_c in fa.terms.items():
+        koszul = neg_one_pow(fb.degree * sum(da[a] for a in a_args))
+        for (b_args, b_out), b_c in fb.terms.items():
+            args = tuple(a * dim_b + b for a, b in zip(a_args, b_args))
+            # (a1|b1, ..., an|bn) -> (a1..an | b1..bn) sends a_i to i
+            # and b_i to n+i; the odd factors' targets give the sign
+            odd = [t for i, (a, b) in enumerate(zip(a_args, b_args))
+                   for t, deg in ((i, da[a]), (n + i, db[b])) if deg % 2]
+            o = None if a_out is None else a_out * dim_b + b_out
+            out.add_term((args, o), koszul * perms.parity(odd) * a_c * b_c)
+    return out
+
+
 def pair_evaluate(tensor_elem, sa, sb):
-    """Evaluate a sum of tensor-square generators as a map on A (x) B; None
-    for the empty sum.  The type is that of the first term: the arity and
-    output of its left factor, the degrees of both factors added."""
-    ma, mb = sa.module, sb.module
-    dim_b = mb.dim
-    result = None
-    for (gl, gr), coef in tensor_elem.terms.items():
-        fa = eval_generator(gl, sa)
-        fb = eval_generator(gr, sb)
-        n = fa.arity
-        if result is None:
-            result = MultiMap(tensor_module(ma, mb), fa.arity, fa.out,
-                              fa.degree + fb.degree)
-        for a_args, a_out, a_c in fa.items():
-            deg_a_total = sum(ma.degrees[a] for a in a_args)
-            koszul = neg_one_pow(fb.degree * deg_a_total)
-            for b_args, b_out, b_c in fb.items():
-                args = tuple(a * dim_b + b for a, b in zip(a_args, b_args))
-                # (a1|b1, ..., an|bn) -> (a1..an | b1..bn) sends a_i to i
-                # and b_i to n+i; the odd factors' targets give the sign
-                odd = [t for i, (a, b) in enumerate(zip(a_args, b_args))
-                       for t, deg in ((i, ma.degrees[a]),
-                                      (n + i, mb.degrees[b])) if deg % 2]
-                sign = koszul * perms.parity(odd)
-                o = None if a_out is None else a_out * dim_b + b_out
-                result._add(args, {o: coef * a_c * b_c * sign})
-    return result
+    """Evaluate a sum of tensor-square generators as a map on A (x) B, of
+    the type of its first term; FormalSum() for the empty sum."""
+    return tensor_elem.apply(lambda pair: tensor_maps(
+        eval_generator(pair[0], sa), eval_generator(pair[1], sb)))
 
 
 def tensor_structure(sa, sb, max_mu=3, max_inner=2):
@@ -448,30 +386,16 @@ def tensor_structure(sa, sb, max_mu=3, max_inner=2):
     from .diagonal import delta_c
     from .operad_c import c_unit
 
-    mod = tensor_module(sa.module, sb.module)
-    dim_b = sb.module.dim
-    d = MultiMap(mod, 1, "module", 1)       # d (x) 1 + 1 (x) d, Koszul signed
-    for (src,), o, c in sa.d.items():
-        for b in range(dim_b):
-            d._add((src * dim_b + b,), {o * dim_b + b: c})
-    for (src,), o, c in sb.d.items():
-        for a, deg in enumerate(sa.module.degrees):
-            d._add((a * dim_b + src,), {a * dim_b + o: c * neg_one_pow(deg)})
-
-    out = StructureSet(mod, d, name="%s(x)%s" % (sa.name, sb.name),
+    ma, mb = sa.module, sb.module
+    d = (tensor_maps(sa.d, identity_map(mb))
+         + tensor_maps(identity_map(ma), sb.d))
+    out = StructureSet(d.module, d, name="%s(x)%s" % (sa.name, sb.name),
                        rho_degree=sa.rho_degree + sb.rho_degree)
     for shape in (shapes_up_to(max_mu, kinds=(TREE, MODULE))
                   + shapes_up_to(max_inner + 2, kinds=(INNER,))):
         out.maps[shape] = pair_evaluate(delta_c(c_unit(corolla_of(shape))),
                                         sa, sb)
     return out
-
-
-def check_rho20_identity(sa, sb):
-    """The chain-homotopy identity for the degree-2 pairing of a tensor
-    product: the full inner-product relation at (2, 0)."""
-    pair = tensor_structure(sa, sb, max_mu=3, max_inner=2)
-    return residual_inner(pair, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +422,8 @@ def structures_from_dict(data):
 
     def build(arity, out, degree, entries):     # entries: (args, out, coef)
         return MultiMap(module, arity, out, degree, [
-            (tuple(module.index(a) for a in args),
-             {None if o is None else module.index(o): Fraction(c)})
+            ((tuple(module.index(a) for a in args),
+              None if o is None else module.index(o)), Fraction(c))
             for args, o, c in entries])
 
     d = _section("d", 'entries ["src", "dst", "coef"]', lambda: build(

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 class FormalSum:
     """A finite integer combination of basis keys; zero coefficients vanish.
-    Only `add_term` and `add` change a sum in place, so it is unhashable."""
+    Only `add_term` and `add` change a sum in place, so it is unhashable.
+    Every sum built from others starts from `zero()`, so a subclass gets
+    results of its own type."""
 
     __slots__ = ("terms",)
 
@@ -27,6 +29,9 @@ class FormalSum:
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coef in items:
             self.add_term(key, coef)
+
+    def zero(self):
+        return FormalSum()
 
     def add_term(self, key, coef):
         if coef == 0:
@@ -46,23 +51,27 @@ class FormalSum:
     def apply(self, image):
         """The linear extension of `image`: the sum of coef * image(key)
         over the terms.  Each image(key) is a FormalSum that is only read,
-        so a memoized image can be returned as it is."""
-        out = FormalSum()
+        so a memoized image can be returned as it is.  The result is the
+        zero of the first image, or FormalSum() for the empty sum."""
+        out = None
         for key, coef in self.terms.items():
-            out.add(image(key), coef)
-        return out
+            val = image(key)
+            if out is None:
+                out = val.zero()
+            out.add(val, coef)
+        return FormalSum() if out is None else out
 
     def __add__(self, other):
-        return FormalSum().add(self).add(other)
+        return self.zero().add(self).add(other)
 
     def __sub__(self, other):
-        return FormalSum().add(self).add(other, -1)
+        return self.zero().add(self).add(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, n):
-        return FormalSum().add(self, n)
+        return self.zero().add(self, n)
 
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms

@@ -24,7 +24,8 @@ from math import gcd
 from .diagrams import corolla_of, degree, edges, enumerate_class, leaf_count
 from .formal import unit
 from .operad_c import boundary_c, c_generator
-from .operad_q import boundary_q, q_generator
+from .operad_q import QGenerator, boundary_q
+from . import perms
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,15 @@ def cell_generators(shape, which):
     if which == "c":
         return ([[c_generator(d)[0] for d in enumerate_class(shape, k)]
                  for k in range(top + 1)], boundary_c)
+    # combinations of edges(dia) keep its order, the canonical order of a
+    # metric, so each cell is its generator with sign +1
     layers = [[] for _ in range(top + 1)]
+    identity = perms.identity(leaf_count(corolla_of(shape)))
     for k in range(top + 1):
         for dia in enumerate_class(shape, k):
             es = edges(dia)
             for r in range(len(es) + 1):
-                layers[r] += (q_generator(dia, metric=m)[0]
+                layers[r] += (QGenerator(dia, identity, m)
                               for m in combinations(es, r))
     return layers, boundary_q
 

@@ -2,16 +2,16 @@ import itertools
 
 from planarops.diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
-    enumerate_class, fmt, inner_corolla, leaf_count, module_corolla, parse,
+    enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
     rotate180, tree_corolla,
 )
 from planarops.formal import FormalSum, unit
 from planarops.operad_c import boundary_c, c_unit, compose_elements
 from planarops.operad_q import QGenerator, boundary_q, q_unit
 from planarops.diagonal import (
-    c_tensor_boundary, c_tensor_compose, coassoc_defect_c, coassoc_defect_q,
-    delta_c, delta_c_mod_higher, delta_q, noncoassociativity_witness,
-    p_tensor, q_tensor_boundary, support_formula, unsigned_support,
+    c_tensor_boundary, c_tensor_compose, coassoc_defect_q, delta_c,
+    delta_c_mod_higher, delta_q, noncoassociativity_witness,
+    q_tensor_boundary, support_formula, unsigned_support,
 )
 from planarops.tamari import dmax, dmin, leq
 

@@ -4,10 +4,10 @@ import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, THICK, THIN, TREE, ColorMismatch, DiagramError, ShapeClass,
-    canonical_addresses, canonical_colors, contract, cut, degree, edge_count,
-    edges, enumerate_class, expansions, fmt, fmt_edge, graft, inner_corolla,
-    is_binary, leaf_count, module_corolla, parse, parse_edge, rotate180,
-    shape_class, thick_positions, tree_corolla,
+    canonical_colors, contract, cut, degree, edge_count, edges,
+    enumerate_class, expansions, fmt, fmt_edge, graft, inner_corolla,
+    leaf_count, module_corolla, parse, parse_edge, rotate180, shape_class,
+    thick_positions, tree_corolla,
 )
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, TREE, DiagramError, ShapeClass, edges, enumerate_class,
-    fmt, inner_corolla, leaf_count, module_corolla, parse, tree_corolla,
+    fmt, inner_corolla, leaf_count, module_corolla, tree_corolla,
     corolla_of,
 )
 from planarops.orientations import (

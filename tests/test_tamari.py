@@ -2,8 +2,7 @@ import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, TREE, DiagramError, ShapeClass, contract, corolla_of,
-    degree, edges, enumerate_class, fmt, inner_corolla, leaf_count,
-    module_corolla, parse, tree_corolla,
+    degree, edges, enumerate_class, inner_corolla, parse, tree_corolla,
 )
 from planarops.tamari import (
     classify_edges, cocovers, covers, dmax, dmin, leq, move_path_down,

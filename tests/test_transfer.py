@@ -14,7 +14,7 @@ from planarops.operad_c import (
 from planarops.operad_q import (
     boundary_q, compose_elements as comp_q, q_unit,
 )
-from planarops.orientations import omega_std, orient, xi
+from planarops.orientations import omega_std, xi
 from planarops.tamari import dmax, dmin
 from planarops.transfer import p_map, q_map
 
