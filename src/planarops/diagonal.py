@@ -87,9 +87,15 @@ def p_tensor(x):
     return _both_factors(p_map, x)
 
 
+@lru_cache(maxsize=None)
+def _delta_c_image(gen):
+    """delta_c of one generator; shared, and only read by `apply`."""
+    return p_tensor(delta_q(q_map(unit(gen))))
+
+
 def delta_c(x):
     """The induced (non-coassociative) diagonal on the chain operad."""
-    return p_tensor(delta_q(q_map(x)))
+    return x.apply(_delta_c_image)
 
 
 def c_tensor_compose(x, i, y):

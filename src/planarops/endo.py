@@ -190,6 +190,11 @@ class StructureSet:
     `maps` holds one MultiMap per ShapeClass: mu_n under T_n, lambda_{j,k}
     under M_{j,k} and rho_{j,k} under I_{j,k}.  `op(shape)` returns the
     stored map, or the zero map of the type `map_type` gives the shape.
+
+    `_images` memoizes `eval_generator`.  The images depend on `maps`,
+    `rho_degree` (the degree of a missing shape's zero map) and `module`,
+    so `set_map`, the one way to write `maps`, and every assignment to a
+    field empty it.
     """
 
     module: GradedModule
@@ -197,6 +202,18 @@ class StructureSet:
     maps: dict = field(default_factory=dict)     # ShapeClass -> MultiMap
     rho_degree: int = 0
     name: str = ""
+    _images: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)         # generator -> MultiMap
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name != "_images" and "_images" in self.__dict__:
+            self._images.clear()
+
+    def set_map(self, shape, m):
+        """Store `m` as the structure map of `shape`."""
+        self.maps[shape] = m
+        self._images.clear()
 
     def op(self, shape):
         got = self.maps.get(shape)
@@ -219,14 +236,20 @@ class StructureSet:
         """lambda_{j,k} := mu_{j+k+1} for all module shapes up to the arity
         cap ((0,0) is not a diagram)."""
         for shape in shapes_up_to(max_arity, kinds=(MODULE,)):
-            self.maps[shape] = self.mu_map(sum(shape.params) + 1)
+            self.set_map(shape, self.mu_map(sum(shape.params) + 1))
         return self
 
 
 def eval_generator(gen, structures):
-    """The image of a generator in the endomorphism operad."""
-    return evaluate(decompose_corollas(gen), structures.corolla_map,
-                    compose_at, lambda sigma, f: sigma_sharp(f, sigma))
+    """The image of a generator in the endomorphism operad, memoized on the
+    structure set; shared, and only read by its callers."""
+    images = structures._images
+    image = images.get(gen)
+    if image is None:
+        image = images[gen] = evaluate(
+            decompose_corollas(gen), structures.corolla_map, compose_at,
+            lambda sigma, f: sigma_sharp(f, sigma))
+    return image
 
 
 def eval_element(x, structures):
@@ -393,8 +416,8 @@ def tensor_structure(sa, sb, max_mu=3, max_inner=2):
                        rho_degree=sa.rho_degree + sb.rho_degree)
     for shape in (shapes_up_to(max_mu, kinds=(TREE, MODULE))
                   + shapes_up_to(max_inner + 2, kinds=(INNER,))):
-        out.maps[shape] = pair_evaluate(delta_c(c_unit(corolla_of(shape))),
-                                        sa, sb)
+        out.set_map(shape, pair_evaluate(delta_c(c_unit(corolla_of(shape))),
+                                         sa, sb))
     return out
 
 
@@ -436,7 +459,7 @@ def structures_from_dict(data):
         corolla_of(shape)                       # rejects T_1, I_{-1,2}, ...
         if kind == INNER:                       # scalar: no output named
             entries = [(args, None, c) for args, c in entries]
-        s.maps[shape] = build(*map_type(shape, s.rho_degree), entries)
+        s.set_map(shape, build(*map_type(shape, s.rho_degree), entries))
 
     for section, kind, form in (
             ("mu", TREE, 'an arity k >= 2 and entries '

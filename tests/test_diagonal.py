@@ -82,6 +82,48 @@ def test_delta_c_t2():
     assert delta_c(x) == unit((gen, gen))
 
 
+def _two_generators():
+    (a, _), = c_unit(inner_corolla(2, 0))
+    (b, _), = c_unit(parse("((* *) *)"))
+    return a, b
+
+
+def test_delta_c_of_a_sum_is_the_sum_of_the_images():
+    # the images are memoized per generator; on a sum they must still add
+    # up to the composite p (x) p . Delta . q, and cancel in a difference
+    from planarops.diagonal import p_tensor
+    from planarops.transfer import q_map
+    a, b = _two_generators()
+    x = unit(a, 3) + unit(b, -3)
+    got = delta_c(x)
+    assert got == p_tensor(delta_q(q_map(x)))
+    expected = FormalSum()
+    for gen, coef in ((a, 3), (b, -3)):
+        for pair, c in delta_c(unit(gen)).terms.items():
+            expected.add_term(pair, coef * c)
+    assert got == expected
+    assert not got - delta_c(unit(a, 3)) + delta_c(unit(b, 3))
+
+
+def test_delta_c_returns_a_fresh_sum():
+    # an in-place add on one result must not reach the memoized image
+    a, _b = _two_generators()
+    first = delta_c(unit(a))
+    before = dict(first.terms)
+    first.add(first, 2)
+    first.add_term(("not", "a pair"), 1)
+    assert delta_c(unit(a)).terms == before
+
+
+def test_fresh_caches_clears_the_delta_c_images(fresh_caches):
+    from planarops.diagonal import _delta_c_image
+    a, _b = _two_generators()
+    delta_c(unit(a))
+    assert _delta_c_image.cache_info().currsize == 1
+    fresh_caches()
+    assert _delta_c_image.cache_info().currsize == 0
+
+
 def test_delta_c_t3_support():
     x = delta_c(c_unit(tree_corolla(3)))
     assert unsigned_support(x) == {

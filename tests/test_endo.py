@@ -45,8 +45,8 @@ def random_structures(rng, degrees, max_mu=4, rho_degree=0, max_inner=1):
                 if sum(degrees[a] for a in args) + 2 - k == degrees[out]:
                     entries.append(((args, out),
                                     Fraction(rng.randint(-2, 2))))
-        s.maps[ShapeClass(TREE, (k,))] = MultiMap(module, k, "module", 2 - k,
-                                                  entries)
+        s.set_map(ShapeClass(TREE, (k,)),
+                  MultiMap(module, k, "module", 2 - k, entries))
     for j in range(max_inner + 1):
         for k in range(max_inner + 1 - j):
             entries = []
@@ -54,8 +54,8 @@ def random_structures(rng, degrees, max_mu=4, rho_degree=0, max_inner=1):
                 if sum(degrees[a] for a in args) + rho_degree - j - k == 0:
                     entries.append(
                         ((args, None), Fraction(rng.randint(-2, 2))))
-            s.maps[ShapeClass(INNER, (j, k))] = MultiMap(
-                module, j + k + 2, "scalar", rho_degree - j - k, entries)
+            s.set_map(ShapeClass(INNER, (j, k)), MultiMap(
+                module, j + k + 2, "scalar", rho_degree - j - k, entries))
     s.use_canonical_bimodule(max_mu + 2)
     return s
 
@@ -69,6 +69,34 @@ def test_corolla_evaluates_to_structure_map():
         == s.lam_map(1, 0)
     assert eval_generator(c_generator(inner_corolla(0, 0))[0], s) \
         == s.rho_map(0, 0)
+
+
+def test_eval_generator_is_memoized_on_the_structure_set():
+    s = fixture("frobenius")
+    g = c_generator(parse("((* *) *)"))[0]
+    assert eval_generator(g, s) is eval_generator(g, s)
+    assert eval_generator(g, fixture("frobenius")) == eval_generator(g, s)
+
+
+def test_a_new_structure_map_reaches_the_next_evaluation():
+    # the composite evaluates mu_2 o_1 mu_2, so doubling mu_2 scales it by 4
+    s = fixture("frobenius")
+    g = c_generator(parse("((* *) *)"))[0]
+    before = eval_generator(g, s)
+    assert before
+    s.set_map(ShapeClass(TREE, (2,)), s.mu_map(2).scale(2))
+    assert eval_generator(g, s) == before.scale(4)
+
+
+def test_a_new_rho_degree_reaches_the_next_evaluation():
+    # rho_{1,0} is missing, so it evaluates to the zero map whose degree
+    # rho_degree sets
+    rng = random.Random(6)
+    s = random_structures(rng, (0, 1), max_mu=2, max_inner=0)
+    g = c_generator(inner_corolla(1, 0))[0]
+    assert eval_generator(g, s).degree == -1
+    s.rho_degree = 3
+    assert eval_generator(g, s).degree == 2
 
 
 def test_one_edge_tree_sign():
@@ -232,10 +260,10 @@ def relation_structures(seed, count=4):
         s.rho_degree = rng.choice((-1, 0, 1))
         for shape in shapes_up_to(4, kinds=(INNER,)):
             arity, _out, deg = map_type(shape, s.rho_degree)
-            s.maps[shape] = MultiMap(s.module, arity, "scalar", deg, [
+            s.set_map(shape, MultiMap(s.module, arity, "scalar", deg, [
                 ((args, None), Fraction(rng.randint(-2, 2)))
                 for args in itertools.product(range(3), repeat=arity)
-                if sum(s.module.degrees[a] for a in args) + deg == 0])
+                if sum(s.module.degrees[a] for a in args) + deg == 0]))
         out.append(s)
     return out
 
@@ -308,7 +336,11 @@ def test_eval_intertwines_differentials():
 # --- tensor structures ---------------------------------------------------------
 
 def test_phi2_is_mu2_tensor_nu2():
-    sa, sb = fixture("frobenius"), fixture("two_term")
+    # odd elements on both sides, so the display's sign is not always +1
+    # (the fixtures' nonzero mu_2 is all even)
+    rng = random.Random(4)
+    sa = random_structures(rng, (0, 1, 1), max_mu=2, max_inner=0)
+    sb = random_structures(rng, (1, 0, 1), max_mu=2, max_inner=0)
     pair = tensor_structure(sa, sb, max_mu=3, max_inner=1)
     dim_b = sb.module.dim
     expected = MultiMap(pair.module, 2, "module", 0)
@@ -317,6 +349,7 @@ def test_phi2_is_mu2_tensor_nu2():
             sign = (-1) ** (sb.module.degrees[b1] * sa.module.degrees[a2])
             expected.add_term(((a1 * dim_b + b1, a2 * dim_b + b2),
                                ao * dim_b + bo), ac * bc * sign)
+    assert expected
     assert pair.mu_map(2) == expected
 
 

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from planarops import operad_c, orientations, transfer, verify
+from planarops import endo, operad_c, orientations, perms, transfer, verify
 from planarops.diagrams import (
     INNER, MODULE, TREE, ShapeClass, degree, edges, enumerate_class,
     leaf_count,
@@ -261,3 +263,59 @@ def test_check_endomorphisms_sees_the_compose_at_koszul_sign(monkeypatch,
     ok, detail = verify.check_endomorphisms(4)
     assert not ok
     assert "multiplicativity" in detail
+
+
+def _tensor_maps_with(koszul, shuffle):
+    """endo.tensor_maps with its two signs given by `koszul(exponent)` and
+    `shuffle(odd targets)`."""
+    def tensor_maps(fa, fb):
+        da, db = fa.module.degrees, fb.module.degrees
+        dim_b, n = fb.module.dim, fa.arity
+        out = endo.MultiMap(endo.tensor_module(fa.module, fb.module), n,
+                            fa.out, fa.degree + fb.degree)
+        for (a_args, a_out), a_c in fa.terms.items():
+            sign = koszul(fb.degree * sum(da[a] for a in a_args))
+            for (b_args, b_out), b_c in fb.terms.items():
+                args = tuple(a * dim_b + b for a, b in zip(a_args, b_args))
+                odd = [t for i, (a, b) in enumerate(zip(a_args, b_args))
+                       for t, deg in ((i, da[a]), (n + i, db[b])) if deg % 2]
+                o = None if a_out is None else a_out * dim_b + b_out
+                out.add_term((args, o), sign * shuffle(odd) * a_c * b_c)
+        return out
+    return tensor_maps
+
+
+TENSOR_MAPS_MUTANTS = {
+    "koszul = 1": _tensor_maps_with(lambda n: 1, perms.parity),
+    "parity dropped": _tensor_maps_with(endo.neg_one_pow, lambda odd: 1),
+}
+
+
+def test_tensor_maps_copy_matches_tensor_maps():
+    # the mutants below each drop one sign from this same copy, and each
+    # changes some product of two_term's maps
+    two = endo.load_structures(
+        Path(verify.__file__).parent / "fixtures" / "two_term.json")
+    copied = _tensor_maps_with(endo.neg_one_pow, perms.parity)
+    maps = [two.d, *two.maps.values()]
+    changed = set()
+    for fa in maps:
+        for fb in maps:
+            if fa.arity == fb.arity:
+                real = endo.tensor_maps(fa, fb)
+                assert copied(fa, fb) == real
+                changed |= {name for name, mutant in
+                            TENSOR_MAPS_MUTANTS.items()
+                            if mutant(fa, fb) != real}
+    assert changed == set(TENSOR_MAPS_MUTANTS)
+
+
+@pytest.mark.parametrize("mutant", sorted(TENSOR_MAPS_MUTANTS))
+def test_check_endomorphisms_sees_the_tensor_maps_signs(monkeypatch,
+                                                        fresh_caches, mutant):
+    # mutation check: the two_term (x) two_term pairing of criterion 9 must
+    # see either sign of the A (x) B Koszul rule dropped
+    monkeypatch.setattr(endo, "tensor_maps", TENSOR_MAPS_MUTANTS[mutant])
+    ok, detail = verify.check_endomorphisms(4)
+    assert not ok, mutant
+    assert "tensor evaluation chain relation" in detail
