@@ -234,7 +234,7 @@ def cmd_diagonal(args):
 
 
 def cmd_homology(args):
-    from .homology import homology_report
+    from .homology import homology_report, is_contractible
     shape = parse_shape(args.shape)
     which = "q" if args.q else "c"
     if args.dot:
@@ -245,7 +245,10 @@ def cmd_homology(args):
         print(json.dumps({"shape": repr(report.shape), "which": which,
                           "f_vector": list(report.f_vector),
                           "betti": list(report.betti),
-                          "euler": report.euler}, indent=2))
+                          "euler": report.euler,
+                          "critical": list(report.critical),
+                          "acyclic_over_z": is_contractible(report)},
+                         indent=2))
     else:
         for line in report.lines():
             print(line)
@@ -300,11 +303,11 @@ def complex_dot(shape, which):
         return "%s | m=%s" % (fmt(gen.diagram),
                               ",".join(fmt_edge(k, n) for k in gen.metric))
 
-    layers, boundary = cell_generators(shape, which)
+    layers, image = cell_generators(shape, which)
     lines = ["digraph boundary {"]
     for layer in layers:
         for gen in layer:
-            for gen2, coef in boundary(unit(gen)):
+            for gen2, coef in image(gen):
                 lines.append('  "%s" -> "%s" [label="%+d"];'
                              % (label(gen), label(gen2), coef))
     lines.append("}")

@@ -257,8 +257,11 @@ def _fmt_module(stack):
                                " ".join(_fmt_thin(t) for t in v.right))
 
 
+@lru_cache(maxsize=None)
 def fmt(d):
-    """Canonical serialization; ``parse(fmt(d)) == d``."""
+    """Canonical serialization; ``parse(fmt(d)) == d``.  Memoized: it is
+    the sort key of `expansions` and `enumerate_class`, and interned
+    diagrams are cheap keys."""
     if d.kind == TREE:
         return _fmt_thin(d.payload)
     if d.kind == MODULE:
@@ -482,11 +485,6 @@ def leaf_color(addr):
 @lru_cache(maxsize=None)
 def canonical_colors(d):
     return tuple(leaf_color(a) for a in canonical_addresses(d))
-
-
-def thick_positions(d):
-    """1-based canonical positions of the thick leaves."""
-    return tuple(i + 1 for i, c in enumerate(canonical_colors(d)) if c == THICK)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Each shape class carries two cell complexes: the chain complex whose
 degree-d cells are the diagrams with d fewer edges than a binary one, and
 its cubical refinement whose cells are diagrams with a subset of edges
 marked metric, graded by the number of metric edges.  Boundary matrices are
-assembled from the operad differentials.
+assembled from the operad differentials one cell at a time: each column is
+read from the boundary of its cell (`operad_c.boundary_c_image`,
+`operad_q.boundary_q_image`), the same per-generator image that
+`boundary_c` and `boundary_q` extend linearly.
 
 `collapse` removes each face whose only living coface meets it with
 coefficient +-1 together with that coface (an elementary collapse, Forman
@@ -22,9 +25,8 @@ from itertools import combinations
 from math import gcd
 
 from .diagrams import corolla_of, degree, edges, enumerate_class, leaf_count
-from .formal import unit
-from .operad_c import boundary_c, c_generator
-from .operad_q import QGenerator, boundary_q
+from .operad_c import boundary_c_image, c_generator
+from .operad_q import QGenerator, boundary_q_image
 from . import perms
 
 
@@ -73,13 +75,14 @@ def sparse_rank(rows):
 
 def cell_generators(shape, which):
     """The cells of the chain ("c") or cubical ("q") complex as generators,
-    by degree in construction order, and the boundary of that complex."""
+    by degree in construction order, and the boundary of one cell
+    (`boundary_c_image` or `boundary_q_image`)."""
     if leaf_count(corolla_of(shape)) > 8:
         raise ValueError("shape class exceeds the size cap")
     top = degree(corolla_of(shape))
     if which == "c":
         return ([[c_generator(d)[0] for d in enumerate_class(shape, k)]
-                 for k in range(top + 1)], boundary_c)
+                 for k in range(top + 1)], boundary_c_image)
     # combinations of edges(dia) keep its order, the canonical order of a
     # metric, so each cell is its generator with sign +1
     layers = [[] for _ in range(top + 1)]
@@ -90,14 +93,18 @@ def cell_generators(shape, which):
             for r in range(len(es) + 1):
                 layers[r] += (QGenerator(dia, identity, m)
                               for m in combinations(es, r))
-    return layers, boundary_q
+    return layers, boundary_q_image
 
 
-def _boundary_rows(gens_low, gens_high, boundary):
+def _boundary_rows(gens_low, gens_high, image):
+    """The boundary matrix from the cells `gens_high` to `gens_low`, one
+    row {column: coefficient} per cell of `gens_low`.  Column j holds the
+    terms of `image(gens_high[j])`, the boundary of that one cell, read
+    straight from the sum it returns."""
     index = {g: i for i, g in enumerate(gens_low)}
     matrix_rows = [dict() for _ in gens_low]
     for j, gen in enumerate(gens_high):
-        for out_gen, coef in boundary(unit(gen)).terms.items():
+        for out_gen, coef in image(gen).terms.items():
             matrix_rows[index[out_gen]][j] = coef
     return matrix_rows
 
@@ -150,11 +157,11 @@ def collapsed_betti(f_vector, matrices):
 
 
 def homology_report(shape, which):
-    keyed, bnd = cell_generators(shape, which)
+    keyed, image = cell_generators(shape, which)
     f_vector = tuple(len(layer) for layer in keyed)
     euler = sum((-1) ** d * f for d, f in enumerate(f_vector))
     critical, betti = collapsed_betti(f_vector, [
-        _boundary_rows(keyed[d - 1], keyed[d], bnd)
+        _boundary_rows(keyed[d - 1], keyed[d], image)
         for d in range(1, len(keyed))])
     return ComplexReport(shape, which, f_vector, betti, euler, critical)
 

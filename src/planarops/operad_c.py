@@ -14,7 +14,6 @@ are the input counts and n is the degree of the right factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import perms
@@ -23,15 +22,17 @@ from .diagrams import (
 )
 from .formal import FormalSum, bilinear, unit
 from .orientations import (
-    Orientation, composition_sign, decompose, graft_wedge, orient, wedge,
+    Generator, Orientation, composition_sign, decompose, graft_wedge, orient,
+    wedge,
 )
 
 
-@dataclass(frozen=True)
-class CGenerator:
-    diagram: object
-    perm: tuple            # input j attaches at canonical position perm[j-1]
-    keys: tuple            # orientation edge keys, sorted, implicit sign +1
+class CGenerator(Generator):
+    """`perm[j-1]` is the canonical position input j attaches at; `keys`
+    are the orientation's edge keys, sorted, with implicit sign +1."""
+
+    __slots__ = ()
+    keys = Generator.wedge
 
     def __repr__(self):
         return "C(%s; %s; %s)" % (fmt(self.diagram), list(self.perm),
@@ -54,16 +55,20 @@ def c_unit(diagram, perm=None, orientation=None, coef=1):
     return unit(gen, coef * sign)
 
 
+def boundary_c_image(gen):
+    """The boundary of one generator: its one-edge expansions, the new edge
+    wedged in front."""
+    out = FormalSum()
+    base = Orientation(1, gen.keys)
+    for d2, e2 in expansions(gen.diagram):
+        o2 = wedge(orient([e2]), base)
+        out.add_term(CGenerator(d2, gen.perm, o2.keys), o2.sign)
+    return out
+
+
 def boundary_c(x):
-    """Sum over one-edge expansions, the new edge wedged in front."""
-    def image(gen):
-        out = FormalSum()
-        base = Orientation(1, gen.keys)
-        for d2, e2 in expansions(gen.diagram):
-            o2 = wedge(orient([e2]), base)
-            out.add_term(CGenerator(d2, gen.perm, o2.keys), o2.sign)
-        return out
-    return x.apply(image)
+    """The boundary, `boundary_c_image` extended linearly."""
+    return x.apply(boundary_c_image)
 
 
 def sym_action(sigma, x):

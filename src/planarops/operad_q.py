@@ -10,21 +10,20 @@ the edge created by a composition is non-metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import perms
 from .diagrams import (
     DiagramError, contract, edges, fmt, labeled_graft, leaf_count,
 )
 from .formal import FormalSum, bilinear, unit
-from .orientations import decompose, graft_wedge, orient
+from .orientations import Generator, decompose, graft_wedge, orient
 
 
-@dataclass(frozen=True)
-class QGenerator:
-    diagram: object
-    perm: tuple
-    metric: tuple          # metric edge keys, sorted; also the wedge order
+class QGenerator(Generator):
+    """`metric` holds the metric edge keys, sorted; it is also the wedge
+    order of the orientation."""
+
+    __slots__ = ()
+    metric = Generator.wedge
 
     def __repr__(self):
         return "Q(%s; %s; m=%s)" % (fmt(self.diagram), list(self.perm),
@@ -54,18 +53,22 @@ def q_unit(diagram, perm=None, metric=None, orientation=None, coef=1):
     return unit(gen, coef * sign)
 
 
+def boundary_q_image(gen):
+    """The boundary of one generator: sum_j (-1)^j [contract e_j  -  mark
+    e_j non-metric]."""
+    out = FormalSum()
+    d, perm, metric = gen.diagram, gen.perm, gen.metric
+    for j, e in enumerate(metric, start=1):
+        rest = metric[:j - 1] + metric[j:]
+        sign = (-1) ** j
+        out.add_term(QGenerator(contract(d, e), perm, rest), sign)
+        out.add_term(QGenerator(d, perm, rest), -sign)
+    return out
+
+
 def boundary_q(x):
-    """sum_j (-1)^j [contract e_j  -  mark e_j non-metric]."""
-    def image(gen):
-        out = FormalSum()
-        for j, e in enumerate(gen.metric, start=1):
-            rest = tuple(k for k in gen.metric if k != e)
-            sign = (-1) ** j
-            out.add_term(QGenerator(contract(gen.diagram, e), gen.perm, rest),
-                         sign)
-            out.add_term(QGenerator(gen.diagram, gen.perm, rest), -sign)
-        return out
-    return x.apply(image)
+    """The boundary, `boundary_q_image` extended linearly."""
+    return x.apply(boundary_q_image)
 
 
 def q_action(sigma, x):

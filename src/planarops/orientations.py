@@ -38,6 +38,54 @@ class Orientation:
         return Orientation(-self.sign, self.keys)
 
 
+class Generator:
+    """Base of `operad_c.CGenerator` and `operad_q.QGenerator`: a diagram, a
+    labeling and the sorted edge keys its orientation wedges over, with the
+    sign left to the coefficient of the enclosing sum.
+
+    Generators are immutable.  The hash is that of the field tuple, taken
+    once at construction; `==` asks for the same class and equal fields.
+    Each subclass names the `wedge` slot after its own meaning."""
+
+    __slots__ = ("diagram", "perm", "wedge", "_hash")
+
+    def __init__(self, diagram, perm, wedge):
+        _set_diagram(self, diagram)
+        _set_perm(self, perm)
+        _set_wedge(self, wedge)
+        _set_hash(self, hash((diagram, perm, wedge)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._hash == other._hash and self.diagram == other.diagram
+                and self.perm == other.perm and self.wedge == other.wedge)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the generator through __init__
+        return type(self), (self.diagram, self.perm, self.wedge)
+
+
+# the slot setters write past the immutable __setattr__, and are cheaper
+# than object.__setattr__ on the tens of thousands of generators a complex
+# builds
+_set_diagram = Generator.diagram.__set__
+_set_perm = Generator.perm.__set__
+_set_wedge = Generator.wedge.__set__
+_set_hash = Generator._hash.__set__
+
+
 def orient(keys, sign=1):
     """Normalize a wedge of edge keys; None when a factor repeats.  The
     keys sort as in `diagrams.edges`, and the parity of the sort joins the

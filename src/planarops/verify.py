@@ -105,15 +105,16 @@ def check_complex_axioms(cap):
         for d in class_diagrams(shape):
             if boundary_c(boundary_c(c_unit(d))):
                 return False, "d_C^2 != 0 at %s" % fmt(d)
+        cells, image = cell_generators(shape, "q")
         bcache = {}
 
         def bq(gen):
             got = bcache.get(gen)
             if got is None:
-                got = bcache[gen] = boundary_q(unit(gen))
+                got = bcache[gen] = image(gen)
             return got
 
-        for gen in itertools.chain(*cell_generators(shape, "q")[0]):
+        for gen in itertools.chain(*cells):
             if bq(gen).apply(bq):
                 return False, "d_Q^2 != 0 at %r" % (gen,)
             count += 1

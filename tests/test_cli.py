@@ -87,6 +87,8 @@ def test_homology(capsys):
     data = json.loads(out)
     assert data["f_vector"] == [6, 6, 1]
     assert data["betti"] == [1, 0, 0]
+    assert data["critical"] == [1, 0, 0]
+    assert data["acyclic_over_z"] is True
     code, out = run(capsys, "homology", "I2,0", "--q")
     assert "(11, 15, 5)" in out
 

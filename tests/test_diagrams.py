@@ -7,8 +7,9 @@ from planarops.diagrams import (
     canonical_colors, contract, cut, degree, edge_count, edges,
     enumerate_class, expansions, fmt, fmt_edge, graft, inner_corolla,
     leaf_count, module_corolla, parse, parse_edge, rotate180, shape_class,
-    thick_positions, tree_corolla,
+    tree_corolla,
 )
+from test_kernel_oracles import thick_positions
 
 
 def shapes_up_to(max_leaves):

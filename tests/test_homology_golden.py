@@ -1,10 +1,14 @@
-"""Golden f-vectors, boundary ranks and Betti numbers of the small classes.
+"""Golden boundary matrices, ranks, collapses and Betti numbers of the small
+classes.
 
 For every shape class with at most 6 leaves, in the chain ("c") and the
-cubical ("q") model, the f-vector, the rank of each boundary matrix (from
-degree 1 down to 0 first) and the Betti numbers must match
-``tests/data/homology_golden.json``.  The ranks pin ``sparse_rank`` itself,
-not only the Betti numbers it feeds.
+cubical ("q") model, these must match ``tests/data/homology_golden.json``:
+the f-vector, the rank of each boundary matrix (from degree 1 down to 0
+first), the f-vector that ``collapse`` leaves, the Betti numbers, and a
+sha256 of each boundary matrix's sorted ``(row, col, coef)`` entries.  The
+ranks pin ``sparse_rank`` itself, not only the Betti numbers it feeds; the
+digests pin every sign and every row and column position of the assembled
+matrices, which no rank sees.
 
 When an output change is intended, regenerate the data from the root of a
 checkout with
@@ -12,6 +16,7 @@ checkout with
     PYTHONPATH=src python3 tests/test_homology_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -30,13 +35,23 @@ def key(shape, which):
     return "%r %s" % (shape, which)
 
 
+def matrix_digest(rows):
+    """sha256 of the sorted (row, col, coef) entries of a boundary matrix."""
+    entries = sorted((i, j, v) for i, row in enumerate(rows)
+                     for j, v in row.items())
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
 def complex_data(shape, which):
-    cells, boundary = cell_generators(shape, which)
-    ranks = [sparse_rank(_boundary_rows(cells[d - 1], cells[d], boundary))
-             for d in range(1, len(cells))]
+    cells, image = cell_generators(shape, which)
+    matrices = [_boundary_rows(cells[d - 1], cells[d], image)
+                for d in range(1, len(cells))]
     report = homology_report(shape, which)
-    return {"f_vector": list(report.f_vector), "ranks": ranks,
-            "betti": list(report.betti)}
+    return {"f_vector": list(report.f_vector),
+            "ranks": [sparse_rank(m) for m in matrices],
+            "critical": list(report.critical),
+            "betti": list(report.betti),
+            "matrix_sha256": [matrix_digest(m) for m in matrices]}
 
 
 def capture():

@@ -1,15 +1,16 @@
 """The diagram kernel against independent constructions kept here as
-oracles: edge keys walked per subtree and per thick edge, `graft`'s leaf
-order laid out by hand, `dmax` as the mirror image of `dmin`, and moves
-that carry a full edge bijection."""
+oracles: edge keys walked per subtree and per thick edge, thick-leaf
+positions counted from the stored forests, `graft`'s leaf order laid out
+by hand, `dmax` as the mirror image of `dmin`, and moves that carry a full
+edge bijection."""
 
 import pytest
 
 from planarops.diagrams import (
-    INNER, MODULE, TREE, ModuleVertex, ThinTree, _stacks, canonical_addresses,
-    corolla_of, cut, degree, edge_locs, edges, enumerate_class, fmt,
-    inner_diagram, leaf_count, module_diagram, shapes_up_to,
-    thick_positions, tree_diagram,
+    INNER, MODULE, THICK, TREE, ModuleVertex, ThinTree, _stacks,
+    canonical_addresses, canonical_colors, corolla_of, cut, degree, edge_locs,
+    edges, enumerate_class, fmt, inner_diagram, leaf_count, module_diagram,
+    shapes_up_to, tree_diagram,
 )
 from planarops.tamari import (
     _edge_pair, classify_edges, cocovers, covers, dmax, dmin,
@@ -94,6 +95,29 @@ def test_the_oracles_reach_every_kind():
 def test_edge_locs_match_the_per_subtree_walk():
     for d in ALL6:
         assert edge_locs(d) == oracle_edge_locs(d), d
+
+
+# --- thick leaves: counted from the stored forests --------------------------
+
+def thick_positions(d):
+    """1-based canonical positions of the thick leaves.  A module
+    diagram's thick leaf follows the leaves of its left forests; an inner
+    diagram's right thick leaf follows the upper half-plane: the left arm's
+    right forests, the upper trees and the right arm's left forests."""
+    if d.kind == MODULE:
+        return (1 + sum(v.nleft for v in d.payload),)
+    if d.kind == INNER:
+        inn = d.payload
+        return (1, 2 + sum(v.nright for v in inn.left_arm)
+                + sum(t.leaves for t in inn.up)
+                + sum(v.nleft for v in inn.right_arm))
+    return ()
+
+
+def test_thick_positions_match_the_canonical_colors():
+    for d in ALL6:
+        assert thick_positions(d) == tuple(
+            i + 1 for i, c in enumerate(canonical_colors(d)) if c == THICK), d
 
 
 # --- graft: the leaf order laid out by hand ---------------------------------

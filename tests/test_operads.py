@@ -1,5 +1,9 @@
+import copy
 import itertools
+import pickle
 import random
+
+import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
@@ -285,3 +289,62 @@ def test_decompose_nonmetric_roundtrip():
             gen2 = QGenerator(gen.diagram, sigma, gen.metric)
             assert (evaluate(decompose_nonmetric(gen2), q_unit,
                              compose_q_elements, q_action) == unit(gen2))
+
+
+# --- the generator contract -------------------------------------------------
+
+CONTRACT_DIAGRAM = "<{* ; | ; } ;  ; | ; *>"
+
+
+def contract_generators():
+    d = parse(CONTRACT_DIAGRAM)
+    key = (frozenset({1, 4}),)
+    return CGenerator(d, (2, 1, 3, 4), key), QGenerator(d, (2, 1, 3, 4), key)
+
+
+def test_generator_hash_is_the_hash_of_its_fields():
+    c, q = contract_generators()
+    assert hash(c) == hash((c.diagram, c.perm, c.keys))
+    assert hash(q) == hash((q.diagram, q.perm, q.metric))
+
+
+def test_generators_of_the_two_operads_never_compare_equal():
+    c, q = contract_generators()
+    assert hash(c) == hash(q)
+    assert c != q and q != c
+    assert not c == q
+    assert len({c, q}) == 2
+    assert c == CGenerator(c.diagram, c.perm, c.keys)
+    assert q == QGenerator(q.diagram, q.perm, q.metric)
+    assert c != CGenerator(c.diagram, (1, 2, 3, 4), c.keys)
+    assert q != QGenerator(q.diagram, q.perm, ())
+
+
+@pytest.mark.parametrize("name", ["diagram", "perm", "keys", "metric",
+                                  "wedge", "_hash", "other"])
+def test_generators_are_immutable(name):
+    for gen in contract_generators():
+        with pytest.raises(AttributeError):
+            setattr(gen, name, None)
+        with pytest.raises(AttributeError):
+            delattr(gen, name)
+        assert not hasattr(gen, "__dict__")
+
+
+def test_generators_survive_copy_and_pickle():
+    for gen in contract_generators():
+        copies = [copy.copy(gen), copy.deepcopy(gen)] + [
+            pickle.loads(pickle.dumps(gen, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(gen)
+            assert other == gen and hash(other) == hash(gen)
+            assert other.diagram is gen.diagram
+
+
+def test_generator_repr():
+    c, q = contract_generators()
+    assert repr(c) == "C(%s; [2, 1, 3, 4]; [[1, 4]])" % CONTRACT_DIAGRAM
+    assert repr(q) == "Q(%s; [2, 1, 3, 4]; m=[[1, 4]])" % CONTRACT_DIAGRAM
+    assert repr(QGenerator(q.diagram, (1, 2, 3, 4), ())) == \
+        "Q(%s; [1, 2, 3, 4]; m=[])" % CONTRACT_DIAGRAM
