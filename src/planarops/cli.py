@@ -19,6 +19,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import cache
 
 from . import perms
 from .diagrams import (
@@ -314,7 +315,10 @@ def complex_dot(shape, which):
     return "\n".join(lines)
 
 
+@cache
 def build_parser():
+    """The argparse front end, built on the first call and shared after
+    that; it binds the `cmd_*` functions as they are at that call."""
     ap = argparse.ArgumentParser(prog="planarops", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -98,18 +98,18 @@ def compose_elements(x, i, y):
 # ---------------------------------------------------------------------------
 # splitting at non-metric edges
 #
-# decompose_nonmetric writes a generator as an expression (see formal.py)
-# whose leaves stand for fully metric generators with identity labeling and
-# +sorted orientation; evaluating it with q_unit, compose_elements and
-# q_action gives the generator back.
+# decompose_nonmetric writes an identity-labeled generator as an expression
+# (see formal.py) whose leaves stand for fully metric generators with
+# identity labeling and +sorted orientation; evaluating it with q_unit,
+# compose_elements and q_action gives the generator back.  The action is
+# unsigned, so a relabeled generator is q_action(perm, ...) of that value,
+# which is how transfer._p_image shares it across labelings.
 
 
 def decompose_nonmetric(gen):
-    """Express a generator through fully metric ones at non-metric edges."""
-    n = leaf_count(gen.diagram)
-    base = decompose(gen.diagram, gen.metric, gen.nonmetric(),
+    """Express a generator through fully metric ones at non-metric edges;
+    the expression ignores `gen.perm` and stands for the identity
+    labeling."""
+    return decompose(gen.diagram, gen.metric, gen.nonmetric(),
                      lambda c, n: 1)
-    if gen.perm == perms.identity(n):
-        return base
-    return (1, ("act", gen.perm, base))
 

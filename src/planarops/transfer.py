@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import perms
 from .diagrams import edges, enumerate_class, shape_class
 from .formal import FormalSum, evaluate
 from .operad_c import (
-    compose_elements as compose_c_elements, c_generator, decompose_corollas,
-    sym_action,
+    CGenerator, compose_elements as compose_c_elements, c_generator,
+    decompose_corollas, sym_action,
 )
 from .operad_q import (
-    compose_elements as compose_q_elements, decompose_nonmetric, q_action,
-    q_generator,
+    QGenerator, compose_elements as compose_q_elements, decompose_nonmetric,
+    q_action, q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
 from .tamari import dmax, dmin, leq, positive_edges
@@ -35,7 +36,13 @@ def _q_corolla(diagram):
 
 @lru_cache(maxsize=None)
 def _q_image(gen):
-    """q of one generator; shared, and only read by `apply`."""
+    """q of one generator; shared, and only read by `apply`.  A relabeled
+    generator's image is the sign of its labeling times the action on the
+    identity-labeled one's, so all labelings share one evaluation."""
+    ident = perms.identity(len(gen.perm))
+    if gen.perm != ident:
+        base = _q_image(CGenerator(gen.diagram, ident, gen.keys))
+        return q_action(gen.perm, base).scale(perms.sign(gen.perm))
     return evaluate(decompose_corollas(gen), _q_corolla, compose_q_elements,
                     q_action)
 
@@ -61,7 +68,12 @@ def _p_fullmetric(diagram):
 
 @lru_cache(maxsize=None)
 def _p_image(gen):
-    """p of one generator; shared, and only read by `apply`."""
+    """p of one generator; shared, and only read by `apply`.  A relabeled
+    generator's image is the action on the identity-labeled one's."""
+    ident = perms.identity(len(gen.perm))
+    if gen.perm != ident:
+        base = _p_image(QGenerator(gen.diagram, ident, gen.metric))
+        return sym_action(gen.perm, base)
     return evaluate(decompose_nonmetric(gen), _p_fullmetric,
                     compose_c_elements, sym_action)
 

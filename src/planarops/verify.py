@@ -429,7 +429,7 @@ def check_endomorphisms(cap):
     from .endo import (
         MultiMap, commutator, compose_at, eval_element, eval_generator,
         load_structures, neg_one_pow, pair_evaluate, residual_inner,
-        tensor_structure,
+        tensor_module, tensor_structure,
     )
     fixtures = Path(__file__).parent / "fixtures"
     frob = load_structures(fixtures / "frobenius.json")
@@ -467,19 +467,24 @@ def check_endomorphisms(cap):
                         s.d, eval_element(x, s)):
                     return False, "fixture %s fails the chain relation at %s" \
                         % (s.name, fmt(d))
-    # two (x) two is the one pairing without the all-even frobenius as a
-    # factor, so only it sees the Koszul signs of tensor_maps
-    for sa, sb in [(frob, two), (two, frob), (frob, mu3), (two, two)]:
-        pair = tensor_structure(sa, sb, max_mu=3, max_inner=2)
+
+    def mu2_display(sa, sb):
+        """mu_2 (x) nu_2, with the sign (-1)^(|b1||a2|)."""
         dim_b = sb.module.dim
-        expect = MultiMap(pair.module, 2, "module", 0)
+        out = MultiMap(tensor_module(sa.module, sb.module), 2, "module", 0)
         for ((a1, a2), ao), ac in sa.mu_map(2).terms.items():
             for ((b1, b2), bo), bc in sb.mu_map(2).terms.items():
                 sign = neg_one_pow(sb.module.degrees[b1]
                                    * sa.module.degrees[a2])
-                expect.add_term(((a1 * dim_b + b1, a2 * dim_b + b2),
-                                 ao * dim_b + bo), ac * bc * sign)
-        if pair.mu_map(2) != expect:
+                out.add_term(((a1 * dim_b + b1, a2 * dim_b + b2),
+                              ao * dim_b + bo), ac * bc * sign)
+        return out
+
+    # two (x) two is the one pairing without the all-even frobenius as a
+    # factor, so only it sees the Koszul signs of tensor_maps
+    for sa, sb in [(frob, two), (two, frob), (frob, mu3), (two, two)]:
+        pair = tensor_structure(sa, sb, max_mu=3, max_inner=2)
+        if pair.mu_map(2) != mu2_display(sa, sb):
             return False, "binary tensor multiplication display"
         # the ternary display: left-comb (x) corolla + corolla (x) right-comb
         lc, rc, t3 = (c_generator(d)[0] for d in (
@@ -500,8 +505,19 @@ def check_endomorphisms(cap):
                         % fmt(dia)
         if residual_inner(pair, 2, 0):
             return False, "degree-two pairing identity fails"
-    return True, "%d random draws, fixtures up to %d leaves, 4 pairings" \
-        % (draws, cap5)
+    # each fixture pairing above has two_term or mu3, whose mu_2 is zero,
+    # as a factor; a seeded random pairing with odd elements on both sides
+    # gives a nonzero binary display whose sign matters
+    odd = random.Random(4)
+    sa, sb = (_random_structures(odd, degrees, max_mu=2)
+              for degrees in ((0, 1, 1), (1, 0, 1)))
+    expect = mu2_display(sa, sb)
+    if not expect:
+        return False, "random odd binary display check is vacuous"
+    if pair_evaluate(delta_c(c_unit(tree_corolla(2))), sa, sb) != expect:
+        return False, "binary tensor multiplication display (random odd)"
+    return True, ("%d random draws, fixtures up to %d leaves, 4 pairings and "
+                  "a random odd mu_2 display" % (draws, cap5))
 
 
 def _random_structures(rng, degrees, max_mu=4):

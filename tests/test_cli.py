@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarops.cli import main, parse_generator, parse_shape
+from planarops.cli import build_parser, main, parse_generator, parse_shape
 from planarops.diagrams import INNER, DiagramError, ShapeClass
 
 
@@ -127,6 +127,52 @@ def test_determinism(capsys):
     one = run(capsys, "qmap", "((* * * *) ; id ; [])")[1]
     two = run(capsys, "qmap", "((* * * *) ; id ; [])")[1]
     assert one == two
+
+
+# `main` builds the argparse front end once per process.  The parser binds
+# the `cmd_*` functions when it is first built, so a test that monkeypatched
+# one would not reach `main`; none does.
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one `main` call; an argparse usage
+    error leaves through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_shared_parser_answers_each_call_alone(capsys):
+    query = ("boundary", "c", "((* * *) ; 2 1 3 ; [])")
+    sequence = [query,
+                ("boundary", "c", "(not a diagram"),
+                ("boundary", "x", "((* *) ; id ; [])"),
+                query]
+    first = [_call(capsys, argv) for argv in sequence]
+    assert first[0] == first[3]
+    assert first + first == [_call(capsys, argv) for argv in sequence * 2]
+    (code, out, err), (bad, _out, bad_err), (usage, _o, usage_err), _ = first
+    assert code == 0 and out.count(" * ") == 2 and err == ""
+    assert bad == 2 and bad_err.startswith("error: ")
+    assert usage == ("SystemExit", 2)
+    assert usage_err.startswith("usage: planarops boundary")
+
+
+def test_no_option_leaks_into_the_next_call(capsys):
+    argv = ["minmax", "(* * *)"]
+    code, out, _err = _call(capsys, argv + ["--format", "json"])
+    assert code == 0 and json.loads(out) == {"min": "((* *) *)",
+                                             "max": "(* (* *))"}
+    code, out, _err = _call(capsys, argv)
+    assert code == 0 and out == "min: ((* *) *)\nmax: (* (* *))\n"
+    _call(capsys, ["leq", "((* *) *)", "(* (* *))", "--dot"])
+    assert _call(capsys, ["leq", "((* *) *)", "(* (* *))"])[1] == "true\n"
 
 
 def test_negative_shape_parameters_are_rejected(capsys):

@@ -286,9 +286,12 @@ def test_decompose_nonmetric_roundtrip():
                     == x.scale(coef))
             n = leaf_count(gen.diagram)
             sigma = tuple(rng.sample(range(1, n + 1), n))
+            # the expression stands for the identity labeling; a relabeled
+            # generator is the unsigned action on its value
             gen2 = QGenerator(gen.diagram, sigma, gen.metric)
-            assert (evaluate(decompose_nonmetric(gen2), q_unit,
-                             compose_q_elements, q_action) == unit(gen2))
+            assert (q_action(sigma, evaluate(decompose_nonmetric(gen2),
+                                             q_unit, compose_q_elements,
+                                             q_action)) == unit(gen2))
 
 
 # --- the generator contract -------------------------------------------------

@@ -4,19 +4,25 @@ import random
 from planarops.diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
     enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
-    tree_corolla,
+    shapes_up_to, tree_corolla,
 )
-from planarops.formal import FormalSum, unit
+from planarops.formal import FormalSum, evaluate, unit
+from planarops.homology import cell_generators
 from planarops.operad_c import (
     CGenerator, boundary_c, c_generator, c_unit, compose_elements as comp_c,
-    decompose_corollas,
+    decompose_corollas, sym_action,
 )
 from planarops.operad_q import (
-    boundary_q, compose_elements as comp_q, q_unit,
+    boundary_q, compose_elements as comp_q, decompose_nonmetric, q_action,
+    q_unit,
 )
 from planarops.orientations import omega_std, xi
+from planarops.perms import identity
 from planarops.tamari import dmax, dmin
-from planarops.transfer import p_map, q_map
+from planarops.transfer import (
+    _p_fullmetric, _p_image, _q_corolla, _q_image, p_map, q_map,
+)
+from planarops.verify import class_diagrams
 
 SMALL_SHAPES = [
     ShapeClass(TREE, (3,)), ShapeClass(TREE, (4,)), ShapeClass(TREE, (5,)),
@@ -190,3 +196,29 @@ def test_corolla_decomposition_is_shared():
         for x in class_c_units(shape):
             (gen, _coef), = x.terms.items()
             assert decompose_corollas(gen) is decompose_corollas(gen)
+
+
+def _labeled(rng, gen):
+    n = len(gen.perm)
+    return type(gen)(gen.diagram, tuple(rng.sample(range(1, n + 1), n)),
+                     gen.wedge)
+
+
+def test_relabeled_images_equal_their_full_decompositions():
+    # q and p evaluate an identity-labeled generator once and reach every
+    # labeling of it by the action; the oracle evaluates the whole
+    # decomposition, the relabeling as its outer ("act", perm, base) node
+    rng = random.Random(15)
+    relabeled = 0
+    for shape in shapes_up_to(5):
+        for d in class_diagrams(shape):
+            gen = _labeled(rng, c_generator(d)[0])
+            assert _q_image(gen) == evaluate(
+                decompose_corollas(gen), _q_corolla, comp_q, q_action), gen
+            relabeled += gen.perm != identity(len(gen.perm))
+        for cell in itertools.chain(*cell_generators(shape, "q")[0]):
+            gen = _labeled(rng, cell)
+            full = (1, ("act", gen.perm, decompose_nonmetric(gen)))
+            assert _p_image(gen) == evaluate(
+                full, _p_fullmetric, comp_c, sym_action), gen
+    assert relabeled > 100

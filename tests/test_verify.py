@@ -319,3 +319,30 @@ def test_check_endomorphisms_sees_the_tensor_maps_signs(monkeypatch,
     ok, detail = verify.check_endomorphisms(4)
     assert not ok, mutant
     assert "tensor evaluation chain relation" in detail
+
+
+_tensor_maps = endo.tensor_maps
+
+
+def _binary_display_sign_flipped(fa, fb):
+    """endo.tensor_maps with (-1)^(|b1||a2|) flipped on binary maps into
+    the module: a sign only a nonzero mu_2 (x) nu_2 display sees."""
+    out = _tensor_maps(fa, fb)
+    if fa.arity != 2 or fa.out != "module":
+        return out
+    da, db, dim_b = fa.module.degrees, fb.module.degrees, fb.module.dim
+    flipped = endo.MultiMap(out.module, 2, out.out, out.degree)
+    for ((x1, x2), o), c in out.terms.items():
+        odd = db[x1 % dim_b] * da[x2 // dim_b] % 2
+        flipped.add_term(((x1, x2), o), -c if odd else c)
+    return flipped
+
+
+def test_check_endomorphisms_sees_the_binary_display_sign(monkeypatch,
+                                                          fresh_caches):
+    # mutation check: every fixture pairing has a factor with mu_2 = 0, so
+    # only the seeded random pairing with odd elements sees this sign
+    monkeypatch.setattr(endo, "tensor_maps", _binary_display_sign_flipped)
+    ok, detail = verify.check_endomorphisms(4)
+    assert not ok
+    assert detail == "binary tensor multiplication display (random odd)"
