@@ -8,8 +8,9 @@ i < j) in the orientation order.  It is strictly coassociative.
 
 The diagonal on the chain operad is the composite p (x) p . Delta . q; it is
 a chain map and multiplicative, but not coassociative.  On a corolla its
-unsigned support is exactly the set of pairs S (x) T of complementary degree
-with S_max <= T_min, which the tests check against the composite definition.
+unsigned support is exactly the set of pairs S (x) T with S in
+`tamari.below(T)`: complementary degree and S_max <= T_min.  The tests check
+that against the composite definition.
 
 Reduction modulo higher inner products deletes every tensor factor whose
 central vertex carries any forest, i.e. every factor whose evaluation would
@@ -29,7 +30,7 @@ from .diagrams import (
 from .formal import FormalSum, bilinear, unit
 from .operad_c import boundary_c, c_unit, compose_c, sym_action
 from .operad_q import QGenerator, boundary_q
-from .tamari import dmax, dmin, leq
+from .tamari import below
 from .transfer import p_map, q_map
 
 
@@ -119,20 +120,13 @@ def unsigned_support(x):
 
 @lru_cache(maxsize=None)
 def support_formula(corolla):
-    """Prop.-style direct support: pairs of complementary degree with
-    S_max <= T_min, bypassing the composite definition."""
+    """Prop.-style direct support: the pairs S (x) T with S in below(T),
+    bypassing the composite definition."""
     if not is_corolla(corolla):
         raise ValueError("support_formula expects a corolla")
     shape = shape_class(corolla)
-    k = degree(corolla)
-    out = set()
-    for i in range(k + 1):
-        for s in enumerate_class(shape, i):
-            s_max = dmax(s)
-            for t in enumerate_class(shape, k - i):
-                if leq(s_max, dmin(t)):
-                    out.add((s, t))
-    return frozenset(out)
+    return frozenset((s, t) for k in range(degree(corolla) + 1)
+                     for t in enumerate_class(shape, k) for s in below(t))
 
 
 def _central_vertex_bare(d):

@@ -139,24 +139,13 @@ def sigma_sharp(f, sigma):
 
 
 def precompose_differential(f, d):
-    """f o d_tensor, the sum over inputs with Koszul signs.
-
-    Walks the entries of `f` against the transpose of `d`: an entry at
-    args with args[i] = mid meets every src with d(src) containing mid."""
-    degs = f.module.degrees
+    """f o d_tensor: d inserted at each input of f.  Since |d| = 1, the
+    Koszul sign of `compose_at` is the tensor differential's.  Most maps
+    the checks meet are zero, and those skip the per-slot compositions."""
     out = MultiMap(f.module, f.arity, f.out, f.degree + 1)
-    d_into = {}                     # mid -> [(src, c)] with d(src) = ... + c mid
-    for ((src,), mid), c in d.terms.items():
-        d_into.setdefault(mid, []).append((src, c))
-    for (f_args, o), fc in f.terms.items():
-        for i, mid in enumerate(f_args):
-            sources = d_into.get(mid)
-            if not sources:
-                continue
-            sign = neg_one_pow(sum(degs[a] for a in f_args[:i]))
-            for src, c in sources:
-                out.add_term((f_args[:i] + (src,) + f_args[i + 1:], o),
-                             fc * c * sign)
+    if f:
+        for i in range(1, f.arity + 1):
+            out.add(compose_at(f, i, d))
     return out
 
 

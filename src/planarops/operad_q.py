@@ -39,6 +39,8 @@ def q_generator(diagram, perm=None, metric=None, orientation=None):
         perm = perms.identity(leaf_count(diagram))
     if metric is None:
         metric = edges(diagram)
+    if len(set(metric)) != len(metric):
+        raise DiagramError("a metric lists each edge once")
     if orientation is None:
         orientation = orient(metric, 1)
     if set(orientation.keys) != set(metric):

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagrams import (
-    MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract, edges,
-    enumerate_class, expansions_tagged, fmt, inner_diagram, is_binary,
-    module_diagram, shape_class, tree_diagram,
+    MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract,
+    edge_count, edges, enumerate_class, expansions_tagged, fmt, inner_diagram,
+    is_binary, module_diagram, shape_class, tree_diagram,
 )
 
 
@@ -152,6 +152,16 @@ def leq(b1, b2):
     if not is_binary(b2):           # a reachable b2 is binary already
         raise DiagramError("covers and cocovers need a binary diagram")
     return False
+
+
+def below(t):
+    """The cells S of t's shape class of complementary degree with
+    S_max <= t_min, in `enumerate_class` order.  This is the one reading of
+    the relation: p, the diagonal's support and the checks all go through
+    it."""
+    t_min = dmin(t)
+    return [s for s in enumerate_class(shape_class(t), edge_count(t))
+            if leq(dmax(s), t_min)]
 
 
 def _min_thin(t, comb):

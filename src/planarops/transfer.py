@@ -3,10 +3,10 @@
 q sends a corolla to the sum of all fully metric binary diagrams of its
 shape class with standard orientation, and extends multiplicatively; the
 signed relabeling action on the source becomes the unsigned one on the
-target.  p sends a fully metric generator to the sum of all diagrams S of
-complementary degree with S_max <= D_min, each carrying the induced
-orientation, extends multiplicatively over non-metric edges, and turns the
-unsigned action back into the signed one.
+target.  p sends a fully metric generator D to the sum of the diagrams S in
+`tamari.below(D)`, those of complementary degree with S_max <= D_min, each
+carrying the induced orientation, extends multiplicatively over non-metric
+edges, and turns the unsigned action back into the signed one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .operad_q import (
     q_action, q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
-from .tamari import dmax, dmin, leq, positive_edges
+from .tamari import below, dmin, positive_edges
 
 
 @lru_cache(maxsize=None)
@@ -56,14 +56,11 @@ def q_map(x):
 @lru_cache(maxsize=None)
 def _p_fullmetric(diagram):
     """p on the fully metric generator with +sorted orientation."""
-    own = frozenset(edges(diagram))
-    d_min = dmin(diagram)
-    if positive_edges(d_min) != own:
+    if positive_edges(dmin(diagram)) != frozenset(edges(diagram)):
         return FormalSum()
     omega_d = orient(edges(diagram), 1)
     return FormalSum(c_generator(s, orientation=omega_sd(s, diagram, omega_d))
-                     for s in enumerate_class(shape_class(diagram), len(own))
-                     if leq(dmax(s), d_min))
+                     for s in below(diagram))
 
 
 @lru_cache(maxsize=None)

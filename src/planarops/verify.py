@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from traceback import format_exc
 
@@ -25,7 +25,7 @@ from .operad_c import boundary_c, c_generator, c_unit, compose_c
 from .operad_q import boundary_q, q_unit
 from .orientations import omega_sd, omega_std, orient, transfer, xi, xi_via
 from .tamari import (
-    classify_edges, cocovers, covers, dmax, dmin, leq, poset_extremes,
+    below, classify_edges, cocovers, covers, dmax, dmin, poset_extremes,
     positive_edges,
 )
 from .transfer import p_map, q_map
@@ -106,14 +106,7 @@ def check_complex_axioms(cap):
             if boundary_c(boundary_c(c_unit(d))):
                 return False, "d_C^2 != 0 at %s" % fmt(d)
         cells, image = cell_generators(shape, "q")
-        bcache = {}
-
-        def bq(gen):
-            got = bcache.get(gen)
-            if got is None:
-                got = bcache[gen] = image(gen)
-            return got
-
+        bq = cache(image)
         for gen in itertools.chain(*cells):
             if bq(gen).apply(bq):
                 return False, "d_Q^2 != 0 at %r" % (gen,)
@@ -269,22 +262,17 @@ def check_orientations(cap):
                     return False, "transfer mismatch at %s" % fmt(b)
     pairs = 0
     for shape in shapes_up_to(cap7):
-        c = corolla_of(shape)
-        n = leaf_count(c)
-        for dg in range(degree(c) + 1):
-            for d in enumerate_class(shape, dg):
-                if positive_edges(dmin(d)) != frozenset(edges(d)):
-                    continue
-                omega_d = orient(edges(d), 1)
-                for s in enumerate_class(shape, n - 2 - dg):
-                    if not leq(dmax(s), dmin(d)):
-                        continue
-                    ref = omega_sd(s, d, omega_d)
-                    for path in _alt_down_paths(dmin(d), dmax(s), limit=12):
-                        if omega_sd(s, d, omega_d, path=path) != ref:
-                            return False, "path dependence for %s in %s" % (
-                                fmt(s), fmt(d))
-                    pairs += 1
+        for d in class_diagrams(shape):
+            if positive_edges(dmin(d)) != frozenset(edges(d)):
+                continue
+            omega_d = orient(edges(d), 1)
+            for s in below(d):
+                ref = omega_sd(s, d, omega_d)
+                for path in _alt_down_paths(dmin(d), dmax(s), limit=12):
+                    if omega_sd(s, d, omega_d, path=path) != ref:
+                        return False, "path dependence for %s in %s" % (
+                            fmt(s), fmt(d))
+                pairs += 1
     return True, "reference values, %d projection pairs, up to %d leaves" \
         % (pairs, cap7)
 
@@ -334,23 +322,17 @@ def check_diagonal(cap):
     if not _check_published_reductions():
         return False, "published mod-higher reductions"
     cap7 = min(cap, 7)
+    # rotate180 maps each class I_{j,k} onto I_{k,j} preserving degree, so
+    # comparing below(t) with below of the rotation, cell by cell, compares
+    # S_max <= T_min on every pair of complementary degree
     for shape in shapes_up_to(cap7, kinds=(INNER,)):
-        cells = list(class_diagrams(shape))
-        for d in cells:
+        for d in class_diagrams(shape):
             if rotate180(dmax(d)) != dmax(rotate180(d)):
                 return False, "rotation vs maximum at %s" % fmt(d)
             if rotate180(dmin(d)) != dmin(rotate180(d)):
                 return False, "rotation vs minimum at %s" % fmt(d)
-        n = leaf_count(corolla_of(shape))
-        by_deg = {}
-        for d in cells:
-            by_deg.setdefault(degree(d), []).append(d)
-        for dg, ss in by_deg.items():
-            for s in ss:
-                for t in by_deg.get(n - 2 - dg, ()):
-                    if leq(dmax(s), dmin(t)) != leq(dmax(rotate180(s)),
-                                                    dmin(rotate180(t))):
-                        return False, "rotation breaks the order relation"
+            if {rotate180(s) for s in below(d)} != set(below(rotate180(d))):
+                return False, "rotation breaks the order relation"
     witness = noncoassociativity_witness(cap6)
     if witness is None:
         return False, "no coassociativity failure found"

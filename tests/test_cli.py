@@ -289,6 +289,22 @@ def test_repeated_orientation_edge_is_an_input_error(capsys):
         assert "each edge once" in captured.err, captured.err
 
 
+def test_repeated_metric_edge_is_an_input_error(capsys):
+    # with and without an orientation section, which used to drop the
+    # repeat silently; without one, boundary and pmap crashed
+    for literal in ("(((* *) *) ; id ; ; metric:[1-2, 1-2])",
+                    "(((* *) *) ; id ; [1-2] ; metric:[1-2, 1-2])"):
+        with pytest.raises(DiagramError, match="a metric lists each edge"):
+            parse_generator(literal, "q")
+        for argv in (["boundary", "q", literal], ["pmap", literal]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == ""
+            assert "a metric lists each edge once" in captured.err, \
+                captured.err
+
+
 def test_leq_rejects_non_binary_diagrams_on_either_side(capsys):
     for argv in (["leq", "(* * *)", "((* *) *)"],
                  ["leq", "((* *) *)", "(* * *)"]):

@@ -1,20 +1,24 @@
 """The diagram kernel against independent constructions kept here as
 oracles: edge keys walked per subtree and per thick edge, thick-leaf
 positions counted from the stored forests, `graft`'s leaf order laid out
-by hand, `dmax` as the mirror image of `dmin`, and moves that carry a full
-edge bijection."""
+by hand, `dmax` as the mirror image of `dmin`, moves that carry a full
+edge bijection, and the pair loops that read S_max <= T_min before
+`below`."""
 
 import pytest
 
+from planarops import tamari
+from planarops.diagonal import support_formula
 from planarops.diagrams import (
     INNER, MODULE, THICK, TREE, ModuleVertex, ThinTree, _stacks,
     canonical_addresses, canonical_colors, corolla_of, cut, degree, edge_locs,
-    edges, enumerate_class, fmt, inner_diagram, leaf_count, module_diagram,
-    shapes_up_to, tree_diagram,
+    edges, enumerate_class, fmt, inner_corolla, inner_diagram, leaf_count,
+    module_diagram, rotate180, shape_class, shapes_up_to, tree_diagram,
 )
 from planarops.tamari import (
-    _edge_pair, classify_edges, cocovers, covers, dmax, dmin,
+    _edge_pair, below, classify_edges, cocovers, covers, dmax, dmin, leq,
 )
+from planarops.verify import class_diagrams
 
 
 def all_diagrams(max_leaves):
@@ -228,3 +232,79 @@ def test_moves_match_the_full_bijection():
         assert classify_edges(b) == oracle_classify_edges(b), b
     assert len(binaries) == 2835 and moves == 13138
     assert renamed > 0
+
+
+# --- S_max <= T_min: the pair loops that `below` replaced --------------------
+
+def oracle_below(t):
+    """The filter p used: every cell of complementary degree, in
+    enumeration order, whose maximum lies below t's minimum."""
+    n = leaf_count(t)
+    return [s for s in enumerate_class(shape_class(t), n - 2 - degree(t))
+            if leq(dmax(s), dmin(t))]
+
+
+def oracle_support_formula(corolla):
+    """The double loop over S of each degree and T of the complement."""
+    shape = shape_class(corolla)
+    k = degree(corolla)
+    out = set()
+    for i in range(k + 1):
+        for s in enumerate_class(shape, i):
+            s_max = dmax(s)
+            for t in enumerate_class(shape, k - i):
+                if leq(s_max, dmin(t)):
+                    out.add((s, t))
+    return frozenset(out)
+
+
+def test_below_matches_the_filter_in_order():
+    nonempty = 0
+    for t in ALL6:
+        got = below(t)
+        assert got == oracle_below(t), t
+        nonempty += bool(got)
+    assert nonempty > 0
+
+
+def test_support_formula_matches_the_double_loop():
+    corollas = [corolla_of(shape) for shape in shapes_up_to(6)]
+    assert len(corollas) == 40
+    assert sum(len(support_formula(c)) for c in corollas) == 1553
+    for c in corollas:
+        assert support_formula(c) == oracle_support_formula(c), c
+
+
+def rotation_pairwise(shape):
+    """The old rotation block: leq read through `tamari` on every pair of
+    complementary degree, in the class and in its rotation."""
+    cells = list(class_diagrams(shape))
+    n = leaf_count(corolla_of(shape))
+    return all(
+        tamari.leq(dmax(s), dmin(t))
+        == tamari.leq(dmax(rotate180(s)), dmin(rotate180(t)))
+        for s in cells for t in cells if degree(s) + degree(t) == n - 2)
+
+
+def rotation_setwise(shape):
+    """Criterion 8's form: below(t) rotated against below of the rotation."""
+    return all({rotate180(s) for s in below(t)} == set(below(rotate180(t)))
+               for t in class_diagrams(shape))
+
+
+def test_both_rotation_checks_catch_a_leq_flipped_on_one_pair(
+        fresh_caches, monkeypatch):
+    shapes = shapes_up_to(5, kinds=(INNER,))
+    for shape in shapes:
+        assert rotation_pairwise(shape) and rotation_setwise(shape), shape
+    c = inner_corolla(2, 0)
+    flipped = (dmax(c), dmin(c))     # the maximum is not below the minimum
+    real = tamari.leq
+    assert not real(*flipped)
+    monkeypatch.setattr(
+        tamari, "leq", lambda b1, b2: real(b1, b2) != ((b1, b2) == flipped))
+    # I2,0 and its rotation I0,2 each meet the flipped pair
+    failing = {shape for shape in shapes if not rotation_pairwise(shape)}
+    assert failing == {shape_class(c), shape_class(rotate180(c))}
+    assert {shape for shape in shapes
+            if not rotation_setwise(shape)} == failing

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from planarops.diagrams import (
-    INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
+    INNER, MODULE, TREE, DiagramError, ShapeClass, corolla_of, degree, edges,
     enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
     tree_corolla,
 )
@@ -20,6 +20,7 @@ from planarops.operad_q import (
     QGenerator, boundary_q, compose_q, compose_elements as compose_q_elements,
     decompose_nonmetric, q_action, q_generator, q_unit,
 )
+from planarops.orientations import orient
 
 SMALL_SHAPES = [
     ShapeClass(TREE, (3,)), ShapeClass(TREE, (4,)), ShapeClass(TREE, (5,)),
@@ -321,6 +322,14 @@ def test_generators_of_the_two_operads_never_compare_equal():
     assert q == QGenerator(q.diagram, q.perm, q.metric)
     assert c != CGenerator(c.diagram, (1, 2, 3, 4), c.keys)
     assert q != QGenerator(q.diagram, q.perm, ())
+
+
+def test_q_generator_rejects_a_repeated_metric_edge():
+    d = parse("((* *) *)")
+    e, = edges(d)
+    for orientation in (None, orient([e], 1)):
+        with pytest.raises(DiagramError, match="a metric lists each edge"):
+            q_generator(d, metric=[e, e], orientation=orientation)
 
 
 @pytest.mark.parametrize("name", ["diagram", "perm", "keys", "metric",
