@@ -9,7 +9,10 @@ with the diagram grammar of the library, a space-separated permutation (or
 metric section only meaningful for cubical generators (it defaults to every
 edge).  All commands accept ``--format json``.  ``minmax`` and ``leq`` print
 the cover digraph of the shape class, and ``homology`` its boundary complex,
-as DOT with ``--dot``.
+as DOT with ``--dot``.  The commands that build a whole shape class
+(``enumerate``, ``qmap``, ``pmap``, ``diagonal``, ``homology`` and every
+``--dot`` output) refuse one of more than ``diagrams.SIZE_CAP`` leaves with
+exit code 2.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from functools import cache
 
 from . import perms
 from .diagrams import (
-    INNER, MODULE, TREE, DiagramError, ShapeClass, enumerate_class, fmt,
-    fmt_edge, is_corolla, leaf_count, parse, parse_edge, shape_class,
+    INNER, MODULE, TREE, DiagramError, ShapeClass, check_size_cap,
+    enumerate_class, fmt, fmt_edge, is_corolla, leaf_count, parse, parse_edge,
+    shape_class,
 )
 from .formal import unit
 from .operad_c import CGenerator, boundary_c, c_generator, compose_elements
@@ -123,6 +127,15 @@ def parse_generator(text, which):
     return unit(gen, coef * sign)
 
 
+def parse_capped(text, which):
+    """`parse_generator`, refused past the size cap: the commands that
+    build a whole shape class from the generator go through here."""
+    x = parse_generator(text, which)
+    for gen, _c in x:
+        check_size_cap(shape_class(gen.diagram))
+    return x
+
+
 def fmt_generator(gen, coef=None):
     n = leaf_count(gen.diagram)
     perm = " ".join(str(p) for p in gen.perm)
@@ -169,6 +182,7 @@ def emit_element(x, args, pair=False):
 
 def cmd_enumerate(args):
     shape = parse_shape(args.shape)
+    check_size_cap(shape)
     items = enumerate_class(shape, args.degree)
     if args.format == "json":
         print(json.dumps([fmt(d) for d in items], indent=2))
@@ -205,9 +219,11 @@ def cmd_minmax(args):
 
 def cmd_leq(args):
     b1, b2 = parse(args.b1), parse(args.b2)
+    # the digraph first, so that its size cap holds before leq walks
+    dot = poset_dot(shape_class(b1)) if args.dot else None
     result = leq(b1, b2)
-    if args.dot:
-        print(poset_dot(shape_class(b1)))
+    if dot is not None:
+        print(dot)
         return
     if args.format == "json":
         print(json.dumps({"leq": result}))
@@ -217,16 +233,16 @@ def cmd_leq(args):
 
 
 def cmd_qmap(args):
-    emit_element(q_map(parse_generator(args.generator, "c")), args)
+    emit_element(q_map(parse_capped(args.generator, "c")), args)
 
 
 def cmd_pmap(args):
-    emit_element(p_map(parse_generator(args.generator, "q")), args)
+    emit_element(p_map(parse_capped(args.generator, "q")), args)
 
 
 def cmd_diagonal(args):
     from .diagonal import delta_c, delta_c_mod_higher
-    x = parse_generator(args.corolla, "c")
+    x = parse_capped(args.corolla, "c")
     for gen, _c in x:
         if not is_corolla(gen.diagram):
             raise DiagramError("the diagonal command expects a corolla")
@@ -284,6 +300,7 @@ def cmd_verify(args):
 
 
 def poset_dot(shape):
+    check_size_cap(shape)
     lines = ["digraph covers {"]
     for b in enumerate_class(shape, 0):
         lines.append('  "%s";' % fmt(b))

@@ -405,6 +405,21 @@ def corolla_of(shape):
     return inner_corolla(*shape.params)
 
 
+# The most leaves a shape class may have where a whole class is built on
+# request: the command line and the homology complexes.  The rest of the
+# library takes any size.
+SIZE_CAP = 8
+
+
+def check_size_cap(shape):
+    """Refuse a shape class of more than SIZE_CAP leaves.  The count comes
+    from the parameters, so an oversized class costs nothing to refuse."""
+    n = sum(shape.params) + {TREE: 0, MODULE: 1, INNER: 2}[shape.kind]
+    if n > SIZE_CAP:
+        raise DiagramError("shape class exceeds the size cap of %d leaves"
+                           % SIZE_CAP)
+
+
 def shapes_up_to(max_leaves, kinds=(TREE, MODULE, INNER)):
     """Every shape class with at most `max_leaves` leaves: trees, then
     module and inner classes by total arity."""
@@ -914,8 +929,13 @@ class Cut:
     graft: Graft          # graft(host, pos, outer), reproducing the original
 
 
+@lru_cache(maxsize=None)
 def cut(d, key):
-    """Sever the internal edge `key`; inverse of `graft` at that edge."""
+    """Sever the internal edge `key`; inverse of `graft` at that edge.
+
+    Memoized like `graft`: the self-check below runs once per distinct
+    (d, key), and later calls return the same `Cut`.
+    """
     loc = edge_locs(d)[key]
     if loc[0] == "thin":
         severed = []

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .diagrams import corolla_of, degree, edges, enumerate_class, leaf_count
+from .diagrams import (
+    check_size_cap, corolla_of, degree, edges, enumerate_class, leaf_count,
+)
 from .operad_c import boundary_c_image, c_generator
 from .operad_q import QGenerator, boundary_q_image
 from . import perms
@@ -77,8 +79,7 @@ def cell_generators(shape, which):
     """The cells of the chain ("c") or cubical ("q") complex as generators,
     by degree in construction order, and the boundary of one cell
     (`boundary_c_image` or `boundary_q_image`)."""
-    if leaf_count(corolla_of(shape)) > 8:
-        raise ValueError("shape class exceeds the size cap")
+    check_size_cap(shape)
     top = degree(corolla_of(shape))
     if which == "c":
         return ([[c_generator(d)[0] for d in enumerate_class(shape, k)]

@@ -22,8 +22,8 @@ from .diagrams import (
 )
 from .formal import FormalSum, bilinear, unit
 from .orientations import (
-    Generator, Orientation, composition_sign, decompose, graft_wedge, orient,
-    wedge,
+    Generator, Orientation, composition_sign, cut_step, decompose, graft_wedge,
+    orient, wedge,
 )
 
 
@@ -101,17 +101,25 @@ def compose_elements(x, i, y):
 # ---------------------------------------------------------------------------
 # corolla decomposition
 #
-# decompose_corollas writes a generator as an expression (see formal.py)
-# whose leaves are corollas; evaluating it with c_unit, compose_elements and
-# sym_action gives the generator back.  The expression is a tree of tuples,
-# so one memoized copy serves q and the endomorphism evaluation alike.
+# corolla_cut cuts a generator once at its first edge; q (transfer._q_image)
+# takes that one step and composes the memoized images of the two parts.
+# decompose_corollas repeats it and writes the generator as an expression
+# (see formal.py) whose leaves are corollas; evaluating it with c_unit,
+# compose_elements and sym_action gives the generator back.  The expression
+# is a tree of tuples, memoized for the endomorphism evaluation.
+
+
+def corolla_cut(gen):
+    """`orientations.cut_step` of `gen` at its first edge, the composition
+    carrying `composition_sign`; None on a corolla."""
+    return cut_step(gen, gen.keys, composition_sign) if gen.keys else None
 
 
 @lru_cache(maxsize=None)
 def decompose_corollas(gen):
     """Express a generator through corollas, compositions and the action."""
     n = leaf_count(gen.diagram)
-    base = decompose(gen.diagram, gen.keys, gen.keys, composition_sign)
+    base = decompose(gen, corolla_cut)
     if gen.perm == perms.identity(n):
         return base
     return (perms.sign(gen.perm), ("act", gen.perm, base))

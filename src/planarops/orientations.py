@@ -144,10 +144,14 @@ def graft_wedge(g, host_keys, guest_keys, new_edge):
 # the cut-and-split step
 #
 # Cutting a diagram at an edge writes it as a graft of the two parts; a
-# wedge `keys` of its edges splits into the keys each part carries, and
-# the decomposition of a generator is this step repeated until no edge of
-# the cut set is left.  xi, decompose_corollas and decompose_nonmetric all
-# rest on it.
+# wedge `keys` of its edges splits into the keys each part carries.
+# `cut_step` is one such cut of a generator, with the sign and the rotation
+# that turn the composite of the parts back into it; each operad names its
+# cut set once (`operad_c.corolla_cut`, `operad_q.nonmetric_cut`).  q and p
+# take one step and read the parts' images from their caches; `decompose`
+# repeats the step down to leaves with an empty cut set and writes the
+# whole expression, which the endomorphism evaluation and the test oracles
+# evaluate.  xi takes one step too.
 
 
 def split(d, e, keys):
@@ -159,18 +163,13 @@ def split(d, e, keys):
     keys, outer keys, then `e` when `e` is one of `keys`) against `keys`.
     """
     c = cut(d, e)
-    host, outer = _part_keys(c, keys)
-    o = graft_wedge(c.graft, host, outer, e in keys)
+    chosen, g = set(keys), c.graft
+    host = tuple(k for k in edges(c.host) if g.host_edges[k] in chosen)
+    outer = tuple(k for k in edges(c.outer) if g.guest_edges[k] in chosen)
+    o = graft_wedge(g, host, outer, e in keys)
     if o is None or o.keys != tuple(keys):
         raise DiagramError("edge bookkeeping failed in decomposition")
     return c, host, outer, o.sign
-
-
-def _part_keys(c, keys):
-    chosen = set(keys)
-    g = c.graft
-    return (tuple(k for k in edges(c.host) if g.host_edges[k] in chosen),
-            tuple(k for k in edges(c.outer) if g.guest_edges[k] in chosen))
 
 
 def composition_sign(c, n):
@@ -181,20 +180,39 @@ def composition_sign(c, n):
     return (-1) ** (i * (l + 1) + k * degree(c.outer) + c.graft.rot * (n - 1))
 
 
-def decompose(d, keys, cuttable, sign):
-    """Expression (see formal.py) for `d` with identity labeling and the
-    +sorted wedge `keys`, cut at the edges of `cuttable` down to leaves with
-    none left; `sign(cut, n)` is the sign each composition carries."""
-    if not cuttable:
-        return (1, ("leaf", d))
-    c, host, outer, parity = split(d, cuttable[0], keys)
-    host_cut, outer_cut = _part_keys(c, cuttable)
+def cut_step(gen, cuttable, sign):
+    """One cut of `gen`, read with identity labeling: the first edge of
+    `cuttable` splits it as (coef, host, pos, outer, sigma) with
+
+        gen = coef * sigma . (host o_pos outer),
+
+    sigma the relabeling that undoes the graft's rotation (None when there
+    is none).  host and outer are identity-labeled generators of gen's type
+    whose wedges are the keys `split` gives them; `sign(cut, n)` is the
+    sign of the composition, and joins the split's parity in coef."""
+    d = gen.diagram
+    c, host, outer, parity = split(d, cuttable[0], gen.wedge)
     n = leaf_count(d)
-    node = ("compose", decompose(c.host, host, host_cut, sign), c.pos,
-            decompose(c.outer, outer, outer_cut, sign))
-    if c.graft.rot:
-        node = ("act", perms.invert(perms.rotation(n, c.graft.rot)), (1, node))
-    return (parity * sign(c, n), node)
+    kind = type(gen)
+    sigma = perms.invert(perms.rotation(n, c.graft.rot)) if c.graft.rot \
+        else None
+    return (parity * sign(c, n),
+            kind(c.host, perms.identity(leaf_count(c.host)), host), c.pos,
+            kind(c.outer, perms.identity(leaf_count(c.outer)), outer), sigma)
+
+
+def decompose(gen, step):
+    """Expression (see formal.py) for `gen` with identity labeling: `step`
+    is an operad's `cut_step` on its cut set, None on a generator with an
+    empty one, and the leaves hold those generators' diagrams."""
+    parts = step(gen)
+    if parts is None:
+        return (1, ("leaf", gen.diagram))
+    coef, host, pos, outer, sigma = parts
+    node = ("compose", decompose(host, step), pos, decompose(outer, step))
+    if sigma is not None:
+        node = ("act", sigma, (1, node))
+    return (coef, node)
 
 
 @lru_cache(maxsize=None)

@@ -207,6 +207,7 @@ def _max_stack(stack):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def dmin(d):
     """The unique minimal binary expansion of d."""
     if d.kind == TREE:
@@ -221,6 +222,7 @@ def dmin(d):
     return inner_diagram(la, (), ra, ())
 
 
+@lru_cache(maxsize=None)
 def dmax(d):
     """The unique maximal binary expansion of d."""
     if d.kind == TREE:

@@ -7,6 +7,11 @@ target.  p sends a fully metric generator D to the sum of the diagrams S in
 `tamari.below(D)`, those of complementary degree with S_max <= D_min, each
 carrying the induced orientation, extends multiplicatively over non-metric
 edges, and turns the unsigned action back into the signed one.
+
+Both maps are multiplicative along a cut, so the image of an
+identity-labeled generator is built from one cut (`operad_c.corolla_cut`
+for q, `operad_q.nonmetric_cut` for p) and the memoized images of its two
+parts; the corollas and the fully metric generators are the leaves.
 """
 
 from __future__ import annotations
@@ -15,17 +20,27 @@ from functools import lru_cache
 
 from . import perms
 from .diagrams import edges, enumerate_class, shape_class
-from .formal import FormalSum, evaluate
+from .formal import FormalSum
 from .operad_c import (
     CGenerator, compose_elements as compose_c_elements, c_generator,
-    decompose_corollas, sym_action,
+    corolla_cut, sym_action,
 )
 from .operad_q import (
-    QGenerator, compose_elements as compose_q_elements, decompose_nonmetric,
+    QGenerator, compose_elements as compose_q_elements, nonmetric_cut,
     q_action, q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
 from .tamari import below, dmin, positive_edges
+
+
+def _from_parts(parts, image, compose, act):
+    """The image of coef * sigma . (host o_pos outer), one `cut_step`,
+    from the images of its two parts."""
+    coef, host, pos, outer, sigma = parts
+    val = compose(image(host), pos, image(outer))
+    if sigma is not None:
+        val = act(sigma, val)
+    return val.scale(coef) if coef != 1 else val
 
 
 @lru_cache(maxsize=None)
@@ -43,8 +58,10 @@ def _q_image(gen):
     if gen.perm != ident:
         base = _q_image(CGenerator(gen.diagram, ident, gen.keys))
         return q_action(gen.perm, base).scale(perms.sign(gen.perm))
-    return evaluate(decompose_corollas(gen), _q_corolla, compose_q_elements,
-                    q_action)
+    parts = corolla_cut(gen)
+    if parts is None:
+        return _q_corolla(gen.diagram)
+    return _from_parts(parts, _q_image, compose_q_elements, q_action)
 
 
 def q_map(x):
@@ -71,8 +88,10 @@ def _p_image(gen):
     if gen.perm != ident:
         base = _p_image(QGenerator(gen.diagram, ident, gen.metric))
         return sym_action(gen.perm, base)
-    return evaluate(decompose_nonmetric(gen), _p_fullmetric,
-                    compose_c_elements, sym_action)
+    parts = nonmetric_cut(gen)
+    if parts is None:
+        return _p_fullmetric(gen.diagram)
+    return _from_parts(parts, _p_image, compose_c_elements, sym_action)
 
 
 def p_map(x):

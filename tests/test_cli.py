@@ -103,6 +103,48 @@ def test_homology_size_cap_holds_on_every_path(capsys, argv):
     assert "error: shape class exceeds the size cap" in captured.err
 
 
+def _right_comb(n):
+    return "(* " * (n - 2) + "(* *)" + ")" * (n - 2)
+
+
+def _corolla(n, metric=False):
+    return "((%s) ; id ; []%s)" % (" ".join("*" * n), " ; metric:[]" * metric)
+
+
+# each of these once ran past a minute
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "T30", "1"], ["enumerate", "I8,8", "1"],
+    ["enumerate", "T9", "0", "--format", "json"],
+    ["qmap", _corolla(12)], ["qmap", _corolla(9)],
+    ["pmap", _corolla(12, metric=True)], ["diagonal", _corolla(12)],
+    ["minmax", _right_comb(20), "--dot"],
+    ["leq", _right_comb(20), _right_comb(20), "--dot"],
+])
+def test_size_cap_holds_on_every_class_builder(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: shape class exceeds the size cap of 8 leaves" \
+        in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "T8", "6"], ["qmap", "(%s ; id)" % _right_comb(8)],
+    ["pmap", _corolla(8, metric=True)], ["minmax", _right_comb(8), "--dot"],
+    ["leq", _right_comb(8), _right_comb(8), "--dot"],
+])
+def test_eight_leaves_still_answer(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_diagonal_lets_eight_leaves_through_the_cap(capsys):
+    # the diagonal of an 8-leaf corolla takes seconds; a binary input gets
+    # past the cap and is refused by the corolla check that follows it
+    assert main(["diagonal", "(%s ; id)" % _right_comb(8)]) == 2
+    assert "expects a corolla" in capsys.readouterr().err
+
+
 def test_minmax_dot(capsys):
     code, out = run(capsys, "minmax", "(* * *)", "--dot")
     assert out.startswith("digraph")

@@ -2,7 +2,7 @@ import itertools
 import random
 
 from planarops.diagrams import (
-    INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
+    INNER, MODULE, TREE, ShapeClass, corolla_of, cut, degree, edges,
     enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
     shapes_up_to, tree_corolla,
 )
@@ -204,21 +204,36 @@ def _labeled(rng, gen):
                      gen.wedge)
 
 
-def test_relabeled_images_equal_their_full_decompositions():
-    # q and p evaluate an identity-labeled generator once and reach every
-    # labeling of it by the action; the oracle evaluates the whole
-    # decomposition, the relabeling as its outer ("act", perm, base) node
+def test_relabeled_images_equal_their_full_decompositions(fresh_caches):
+    # q and p build an identity-labeled generator's image from one cut and
+    # the memoized images of its two parts, and reach every labeling of it
+    # by the action; the oracle evaluates the whole decomposition, a
+    # relabeling as its outer ("act", perm, base) node.  The caches start
+    # empty, and each identity-labeled generator goes first, so every
+    # image below is built here, one cut at a time
     rng = random.Random(15)
     relabeled = 0
     for shape in shapes_up_to(5):
         for d in class_diagrams(shape):
-            gen = _labeled(rng, c_generator(d)[0])
-            assert _q_image(gen) == evaluate(
-                decompose_corollas(gen), _q_corolla, comp_q, q_action), gen
+            ident = c_generator(d)[0]
+            for gen in (ident, _labeled(rng, ident)):
+                assert _q_image(gen) == evaluate(
+                    decompose_corollas(gen), _q_corolla, comp_q, q_action), gen
             relabeled += gen.perm != identity(len(gen.perm))
         for cell in itertools.chain(*cell_generators(shape, "q")[0]):
-            gen = _labeled(rng, cell)
-            full = (1, ("act", gen.perm, decompose_nonmetric(gen)))
-            assert _p_image(gen) == evaluate(
-                full, _p_fullmetric, comp_c, sym_action), gen
+            for gen in (cell, _labeled(rng, cell)):
+                full = (1, ("act", gen.perm, decompose_nonmetric(gen)))
+                assert _p_image(gen) == evaluate(
+                    full, _p_fullmetric, comp_c, sym_action), gen
     assert relabeled > 100
+
+
+def test_cut_is_memoized():
+    # the one-cut images cut each part once; later cuts of the same edge
+    # return the same Cut, so its graft self-check runs once
+    for shape in SMALL_SHAPES:
+        for d in class_diagrams(shape):
+            for e in edges(d):
+                c = cut(d, e)
+                assert cut(d, e) is c
+                assert c.graft.diagram is d and c.graft.new_edge == e
