@@ -219,8 +219,10 @@ def cmd_minmax(args):
 
 def cmd_leq(args):
     b1, b2 = parse(args.b1), parse(args.b2)
-    # the digraph first, so that its size cap holds before leq walks
-    dot = poset_dot(shape_class(b1)) if args.dot else None
+    shape = shape_class(b1)
+    # the size cap holds before leq walks the order
+    check_size_cap(shape)
+    dot = poset_dot(shape) if args.dot else None
     result = leq(b1, b2)
     if dot is not None:
         print(dot)

@@ -148,13 +148,12 @@ def delta_c_mod_higher(x):
 # coassociativity
 
 def _coassoc_defect(x, diag):
-    lhs = FormalSum()
-    for (a, b), coef in diag(x).terms.items():
-        for (a1, a2), c in diag(unit(a)).terms.items():
-            lhs.add_term((a1, a2, b), coef * c)
-        for (b1, b2), c in diag(unit(b)).terms.items():
-            lhs.add_term((a, b1, b2), -coef * c)
-    return lhs
+    def image(ab):
+        a, b = ab
+        left = diag(unit(a)).apply(lambda a12: unit(a12 + (b,)))
+        right = diag(unit(b)).apply(lambda b12: unit((a,) + b12))
+        return left.add(right, -1)
+    return diag(x).apply(image)
 
 
 def coassoc_defect_q(x):

@@ -236,7 +236,8 @@ def eval_generator(gen, structures):
     image = images.get(gen)
     if image is None:
         image = images[gen] = evaluate(
-            decompose_corollas(gen), structures.corolla_map, compose_at,
+            decompose_corollas(gen), lambda g: eval_generator(g, structures),
+            structures.corolla_map, compose_at,
             lambda sigma, f: sigma_sharp(f, sigma))
     return image
 

@@ -1,16 +1,19 @@
 """Integer formal sums over hashable basis elements, and the evaluation of
-operadic expressions.
+one node of an operadic decomposition.
 
-An expression is ``(coef, node)`` with node one of
+A decomposition step is ``(coef, node)`` with node one of
 
     ("leaf", diagram)
-    ("compose", expr, i, expr)
-    ("act", sigma, expr)
+    ("compose", host, i, outer, sigma)     sigma . (host o_i outer)
+    ("act", sigma, child)
 
-Decompositions of generators are written in this form.  Evaluating one
-transports it into any target that supplies a value for each leaf, an
-``o_i`` composition and an action, provided the transport is multiplicative
-and intertwines the actions.
+whose children are generators; sigma of a composition may be None.  Each
+operad writes the first step of a generator in this form
+(`orientations.decompose_step`), so a map out of it is fixed by a value
+for each leaf, an ``o_i`` composition and an action, provided it is
+multiplicative and intertwines the actions: its value on a generator is
+`evaluate` of the generator's step, with the children's values read from
+the map itself.
 """
 
 from __future__ import annotations
@@ -103,14 +106,17 @@ def bilinear(x, y, fn):
     return x.apply(lambda kx: y.apply(lambda ky: fn(kx, ky)))
 
 
-def evaluate(expr, leaf, compose, act):
-    """Value of an expression; every value must have a ``scale`` method."""
-    coef, node = expr
+def evaluate(step, image, leaf, compose, act):
+    """Value of one decomposition step, each child's value `image(child)`;
+    every value must have a ``scale`` method."""
+    coef, node = step
     if node[0] == "leaf":
         val = leaf(node[1])
     elif node[0] == "compose":
-        val = compose(evaluate(node[1], leaf, compose, act), node[2],
-                      evaluate(node[3], leaf, compose, act))
+        _, host, pos, outer, sigma = node
+        val = compose(image(host), pos, image(outer))
+        if sigma is not None:
+            val = act(sigma, val)
     else:
-        val = act(node[1], evaluate(node[2], leaf, compose, act))
+        val = act(node[1], image(node[2]))
     return val.scale(coef) if coef != 1 else val

@@ -14,15 +14,13 @@ are the input counts and n is the degree of the right factor.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import perms
 from .diagrams import (
     DiagramError, degree, edges, expansions, fmt, labeled_graft, leaf_count,
 )
 from .formal import FormalSum, bilinear, unit
 from .orientations import (
-    Generator, Orientation, composition_sign, cut_step, decompose, graft_wedge,
+    Generator, Orientation, composition_sign, decompose_step, graft_wedge,
     orient, wedge,
 )
 
@@ -101,25 +99,18 @@ def compose_elements(x, i, y):
 # ---------------------------------------------------------------------------
 # corolla decomposition
 #
-# corolla_cut cuts a generator once at its first edge; q (transfer._q_image)
-# takes that one step and composes the memoized images of the two parts.
-# decompose_corollas repeats it and writes the generator as an expression
-# (see formal.py) whose leaves are corollas; evaluating it with c_unit,
-# compose_elements and sym_action gives the generator back.  The expression
-# is a tree of tuples, memoized for the endomorphism evaluation.
+# decompose_corollas is the first step of a generator's decomposition down
+# to corollas: every edge is cut, compositions carry `composition_sign` and
+# a relabeling the sign of its permutation.  q (transfer._q_image) and the
+# endomorphism evaluation (endo.eval_generator) each evaluate it with their
+# own memoized values for the children; with c_unit, compose_elements and
+# sym_action it gives the generator back.
 
 
-def corolla_cut(gen):
-    """`orientations.cut_step` of `gen` at its first edge, the composition
-    carrying `composition_sign`; None on a corolla."""
-    return cut_step(gen, gen.keys, composition_sign) if gen.keys else None
+def _keys(gen):
+    return gen.keys
 
 
-@lru_cache(maxsize=None)
 def decompose_corollas(gen):
-    """Express a generator through corollas, compositions and the action."""
-    n = leaf_count(gen.diagram)
-    base = decompose(gen, corolla_cut)
-    if gen.perm == perms.identity(n):
-        return base
-    return (perms.sign(gen.perm), ("act", gen.perm, base))
+    """`orientations.decompose_step` of `gen` with every edge cuttable."""
+    return decompose_step(gen, _keys, composition_sign, perms.sign)

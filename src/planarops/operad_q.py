@@ -15,7 +15,7 @@ from .diagrams import (
     DiagramError, contract, edges, fmt, labeled_graft, leaf_count,
 )
 from .formal import FormalSum, bilinear, unit
-from .orientations import Generator, cut_step, decompose, graft_wedge, orient
+from .orientations import Generator, decompose_step, graft_wedge, orient
 
 
 class QGenerator(Generator):
@@ -101,30 +101,18 @@ def compose_elements(x, i, y):
 # ---------------------------------------------------------------------------
 # splitting at non-metric edges
 #
-# nonmetric_cut cuts an identity-labeled generator once at its first
-# non-metric edge; p (transfer._p_image) takes that one step and composes
-# the memoized images of the two parts.  decompose_nonmetric repeats it and
-# writes the generator as an expression (see formal.py) whose leaves stand
-# for fully metric generators with identity labeling and +sorted
-# orientation; evaluating it with q_unit, compose_elements and q_action
-# gives the generator back.  The action is unsigned, so a relabeled
-# generator is q_action(perm, ...) of that value, which is how
-# transfer._p_image shares it across labelings.
+# decompose_nonmetric is the first step of a generator's decomposition at
+# its non-metric edges, down to fully metric generators with identity
+# labeling and +sorted orientation.  The operad is unsigned, so neither a
+# composition nor a relabeling carries a sign.  p (transfer._p_image)
+# evaluates it with its own memoized values for the children; with q_unit,
+# compose_elements and q_action it gives the generator back.
 
 
-def _unsigned(c, n):
+def _unsigned(*_args):
     return 1
 
 
-def nonmetric_cut(gen):
-    """`orientations.cut_step` of `gen` at its first non-metric edge; the
-    composition carries no sign.  None on a fully metric generator."""
-    cuttable = gen.nonmetric()
-    return cut_step(gen, cuttable, _unsigned) if cuttable else None
-
-
 def decompose_nonmetric(gen):
-    """Express a generator through fully metric ones at non-metric edges;
-    the expression ignores `gen.perm` and stands for the identity
-    labeling."""
-    return decompose(gen, nonmetric_cut)
+    """`orientations.decompose_step` of `gen`, cut at non-metric edges."""
+    return decompose_step(gen, QGenerator.nonmetric, _unsigned, _unsigned)

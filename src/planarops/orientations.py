@@ -141,17 +141,18 @@ def graft_wedge(g, host_keys, guest_keys, new_edge):
 
 
 # ---------------------------------------------------------------------------
-# the cut-and-split step
+# the decomposition step
 #
 # Cutting a diagram at an edge writes it as a graft of the two parts; a
 # wedge `keys` of its edges splits into the keys each part carries.
-# `cut_step` is one such cut of a generator, with the sign and the rotation
-# that turn the composite of the parts back into it; each operad names its
-# cut set once (`operad_c.corolla_cut`, `operad_q.nonmetric_cut`).  q and p
-# take one step and read the parts' images from their caches; `decompose`
-# repeats the step down to leaves with an empty cut set and writes the
-# whole expression, which the endomorphism evaluation and the test oracles
-# evaluate.  xi takes one step too.
+# `decompose_step` is the first node of a generator's decomposition: the
+# relabeling of an identity-labeled generator, a leaf when the operad's cut
+# set is empty, or else one cut with the sign and the rotation that turn
+# the composite of the parts back into it.  Each operad names its cut set
+# and its signs once (`operad_c.decompose_corollas`,
+# `operad_q.decompose_nonmetric`), and `formal.evaluate` values one node
+# from the values of its children, so q, p and the endomorphism evaluation
+# are each one memoized recursion.  xi takes one cut too.
 
 
 def split(d, e, keys):
@@ -180,39 +181,37 @@ def composition_sign(c, n):
     return (-1) ** (i * (l + 1) + k * degree(c.outer) + c.graft.rot * (n - 1))
 
 
-def cut_step(gen, cuttable, sign):
-    """One cut of `gen`, read with identity labeling: the first edge of
-    `cuttable` splits it as (coef, host, pos, outer, sigma) with
+def decompose_step(gen, cuttable, sign, act_sign):
+    """The first node (coef, node) of the decomposition of `gen`, its
+    children generators of gen's type (see formal.py):
 
-        gen = coef * sigma . (host o_pos outer),
+        ("act", perm, base)       gen = coef * perm . base, for a relabeled
+                                  gen; base is it with identity labeling
+        ("leaf", diagram)         `cuttable(gen)` is empty
+        ("compose", host, pos, outer, sigma)
+                                  gen = coef * sigma . (host o_pos outer),
+                                  cut at the first edge of `cuttable(gen)`
 
-    sigma the relabeling that undoes the graft's rotation (None when there
-    is none).  host and outer are identity-labeled generators of gen's type
-    whose wedges are the keys `split` gives them; `sign(cut, n)` is the
-    sign of the composition, and joins the split's parity in coef."""
-    d = gen.diagram
-    c, host, outer, parity = split(d, cuttable[0], gen.wedge)
-    n = leaf_count(d)
+    `act_sign(perm)` is the coefficient of a relabeling, and `sign(cut, n)`
+    that of a composition, which the split's parity joins.  sigma undoes
+    the graft's rotation (None when there is none); host and outer are
+    identity-labeled, with the keys `split` gives them."""
+    n = len(gen.perm)
+    ident = perms.identity(n)
     kind = type(gen)
-    sigma = perms.invert(perms.rotation(n, c.graft.rot)) if c.graft.rot \
-        else None
-    return (parity * sign(c, n),
-            kind(c.host, perms.identity(leaf_count(c.host)), host), c.pos,
-            kind(c.outer, perms.identity(leaf_count(c.outer)), outer), sigma)
-
-
-def decompose(gen, step):
-    """Expression (see formal.py) for `gen` with identity labeling: `step`
-    is an operad's `cut_step` on its cut set, None on a generator with an
-    empty one, and the leaves hold those generators' diagrams."""
-    parts = step(gen)
-    if parts is None:
+    if gen.perm != ident:
+        return (act_sign(gen.perm),
+                ("act", gen.perm, kind(gen.diagram, ident, gen.wedge)))
+    cuts = cuttable(gen)
+    if not cuts:
         return (1, ("leaf", gen.diagram))
-    coef, host, pos, outer, sigma = parts
-    node = ("compose", decompose(host, step), pos, decompose(outer, step))
-    if sigma is not None:
-        node = ("act", sigma, (1, node))
-    return (coef, node)
+    c, host, outer, parity = split(gen.diagram, cuts[0], gen.wedge)
+    rot = c.graft.rot
+    sigma = perms.invert(perms.rotation(n, rot)) if rot else None
+    k, l = leaf_count(c.host), leaf_count(c.outer)
+    return (parity * sign(c, n),
+            ("compose", kind(c.host, perms.identity(k), host), c.pos,
+             kind(c.outer, perms.identity(l), outer), sigma))
 
 
 @lru_cache(maxsize=None)

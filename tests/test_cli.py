@@ -119,6 +119,7 @@ def _corolla(n, metric=False):
     ["pmap", _corolla(12, metric=True)], ["diagonal", _corolla(12)],
     ["minmax", _right_comb(20), "--dot"],
     ["leq", _right_comb(20), _right_comb(20), "--dot"],
+    ["leq", _right_comb(20), _right_comb(20)],
 ])
 def test_size_cap_holds_on_every_class_builder(capsys, argv):
     assert main(argv) == 2
@@ -132,6 +133,7 @@ def test_size_cap_holds_on_every_class_builder(capsys, argv):
     ["enumerate", "T8", "6"], ["qmap", "(%s ; id)" % _right_comb(8)],
     ["pmap", _corolla(8, metric=True)], ["minmax", _right_comb(8), "--dot"],
     ["leq", _right_comb(8), _right_comb(8), "--dot"],
+    ["leq", _right_comb(8), _right_comb(8)],
 ])
 def test_eight_leaves_still_answer(capsys, argv):
     code, out = run(capsys, *argv)

@@ -201,11 +201,33 @@ def test_boundary_is_a_derivation():
 
 # --- corolla decomposition --------------------------------------------------
 
+def unfold(step, leaf, compose, act):
+    """The map a decomposition step defines, without a memo: the value of a
+    generator is its step evaluated on the values of its children."""
+    def value(gen):
+        return evaluate(step(gen), value, leaf, compose, act)
+    return value
+
+
+rebuild_c = unfold(decompose_corollas, c_unit, compose_elements, sym_action)
+
+
 def test_decompose_left_comb():
     gen = gen_of(parse("((* *) *)"))
-    expr = evaluate(decompose_corollas(gen), c_unit, compose_elements,
-                    sym_action)
-    assert expr == unit(gen)
+    assert rebuild_c(gen) == unit(gen)
+
+
+def test_decompose_step_nodes():
+    # a relabeling first, then cuts down to corollas; children are
+    # identity-labeled generators, not subtrees
+    d = parse("((* *) *)")
+    gen = gen_of(d)
+    coef, node = decompose_corollas(CGenerator(d, (2, 1, 3), gen.keys))
+    assert (coef, node) == (-1, ("act", (2, 1, 3), gen))
+    coef, (kind, host, pos, outer, sigma) = decompose_corollas(gen)
+    assert kind == "compose" and pos == 1 and sigma is None
+    assert decompose_corollas(host) == (1, ("leaf", host.diagram))
+    assert decompose_corollas(outer) == (1, ("leaf", outer.diagram))
 
 
 def test_decompose_roundtrip():
@@ -216,12 +238,10 @@ def test_decompose_roundtrip():
         for deg in range(degree(c) + 1):
             for d in enumerate_class(shape, deg):
                 gen = gen_of(d)
-                assert evaluate(decompose_corollas(gen), c_unit,
-                                compose_elements, sym_action) == unit(gen)
+                assert rebuild_c(gen) == unit(gen)
                 sigma = tuple(rng.sample(range(1, n + 1), n))
                 gen2 = CGenerator(d, sigma, gen.keys)
-                assert evaluate(decompose_corollas(gen2), c_unit,
-                                compose_elements, sym_action) == unit(gen2)
+                assert rebuild_c(gen2) == unit(gen2)
 
 
 # --- Q operad ---------------------------------------------------------------
@@ -279,20 +299,17 @@ def test_q_boundary_is_a_derivation():
 
 def test_decompose_nonmetric_roundtrip():
     rng = random.Random(5)
+    rebuild_q = unfold(decompose_nonmetric, q_unit, compose_q_elements,
+                       q_action)
     for shape in SMALL_SHAPES:
         for x in class_q_generators(shape):
             ((gen, coef),) = list(x)
-            expr = decompose_nonmetric(gen)
-            assert (evaluate(expr, q_unit, compose_q_elements, q_action)
-                    == x.scale(coef))
+            assert rebuild_q(gen) == unit(gen)
             n = leaf_count(gen.diagram)
             sigma = tuple(rng.sample(range(1, n + 1), n))
-            # the expression stands for the identity labeling; a relabeled
-            # generator is the unsigned action on its value
+            # the action is unsigned, so a relabeling adds no sign
             gen2 = QGenerator(gen.diagram, sigma, gen.metric)
-            assert (q_action(sigma, evaluate(decompose_nonmetric(gen2),
-                                             q_unit, compose_q_elements,
-                                             q_action)) == unit(gen2))
+            assert rebuild_q(gen2) == unit(gen2)
 
 
 # --- the generator contract -------------------------------------------------

@@ -6,7 +6,7 @@ from planarops.diagrams import (
     enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
     shapes_up_to, tree_corolla,
 )
-from planarops.formal import FormalSum, evaluate, unit
+from planarops.formal import FormalSum, unit
 from planarops.homology import cell_generators
 from planarops.operad_c import (
     CGenerator, boundary_c, c_generator, c_unit, compose_elements as comp_c,
@@ -23,6 +23,7 @@ from planarops.transfer import (
     _p_fullmetric, _p_image, _q_corolla, _q_image, p_map, q_map,
 )
 from planarops.verify import class_diagrams
+from test_operads import unfold
 
 SMALL_SHAPES = [
     ShapeClass(TREE, (3,)), ShapeClass(TREE, (4,)), ShapeClass(TREE, (5,)),
@@ -191,13 +192,6 @@ def test_maps_are_linear_over_signed_coefficients():
     assert cancelled
 
 
-def test_corolla_decomposition_is_shared():
-    for shape in SMALL_SHAPES:
-        for x in class_c_units(shape):
-            (gen, _coef), = x.terms.items()
-            assert decompose_corollas(gen) is decompose_corollas(gen)
-
-
 def _labeled(rng, gen):
     n = len(gen.perm)
     return type(gen)(gen.diagram, tuple(rng.sample(range(1, n + 1), n)),
@@ -205,26 +199,24 @@ def _labeled(rng, gen):
 
 
 def test_relabeled_images_equal_their_full_decompositions(fresh_caches):
-    # q and p build an identity-labeled generator's image from one cut and
-    # the memoized images of its two parts, and reach every labeling of it
-    # by the action; the oracle evaluates the whole decomposition, a
-    # relabeling as its outer ("act", perm, base) node.  The caches start
-    # empty, and each identity-labeled generator goes first, so every
-    # image below is built here, one cut at a time
+    # q and p evaluate a generator's first decomposition step on the
+    # memoized images of its children; the oracle repeats the step down to
+    # the leaves with no memo.  The caches start empty, and each
+    # identity-labeled generator goes first, so every image below is built
+    # here, one step at a time
     rng = random.Random(15)
     relabeled = 0
+    full_q = unfold(decompose_corollas, _q_corolla, comp_q, q_action)
+    full_p = unfold(decompose_nonmetric, _p_fullmetric, comp_c, sym_action)
     for shape in shapes_up_to(5):
         for d in class_diagrams(shape):
             ident = c_generator(d)[0]
             for gen in (ident, _labeled(rng, ident)):
-                assert _q_image(gen) == evaluate(
-                    decompose_corollas(gen), _q_corolla, comp_q, q_action), gen
+                assert _q_image(gen) == full_q(gen), gen
             relabeled += gen.perm != identity(len(gen.perm))
         for cell in itertools.chain(*cell_generators(shape, "q")[0]):
             for gen in (cell, _labeled(rng, cell)):
-                full = (1, ("act", gen.perm, decompose_nonmetric(gen)))
-                assert _p_image(gen) == evaluate(
-                    full, _p_fullmetric, comp_c, sym_action), gen
+                assert _p_image(gen) == full_p(gen), gen
     assert relabeled > 100
 
 
