@@ -531,6 +531,9 @@ def parse_edge(text, n):
     except ValueError:
         raise DiagramError("edges are leaf intervals like 2-4, not %r"
                            % text) from None
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise DiagramError("edge endpoints are leaves 1..%d, not %r"
+                           % (n, text))
     out = []
     x = a
     while True:
@@ -538,8 +541,6 @@ def parse_edge(text, n):
         if x == b:
             break
         x = x % n + 1
-        if len(out) > n:
-            raise DiagramError("bad edge interval %r" % text)
     return frozenset(out)
 
 
@@ -931,7 +932,7 @@ class Cut:
 
 @lru_cache(maxsize=None)
 def cut(d, key):
-    """Sever the internal edge `key`; inverse of `graft` at that edge.
+    """Sever the internal edge `key`, undoing `graft` at that edge.
 
     Memoized like `graft`: the self-check below runs once per distinct
     (d, key), and later calls return the same `Cut`.

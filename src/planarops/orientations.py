@@ -13,8 +13,9 @@ agree, which the test suite checks move by move.
 
 ``omega_sd(S, D, omega_D)`` is the orientation a summand S of the projection
 of a fully metric generator D inherits: the positive edges of D_min (the
-edges of D) are carried down a move path to the positive edges of S_max and
-contracted out of xi(S_max).
+edges of D) are carried down the moves of `tamari.descend` to the positive
+edges of S_max and contracted out of xi(S_max).  Every path down gives the
+same orientation; `verify.check_orientations` compares several.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import perms
 from .diagrams import (
     DiagramError, cut, degree, edges, fmt, is_binary, leaf_count,
 )
-from .tamari import cocovers, dmax, dmin, move_path_down, positive_edges
+from .tamari import descend, dmax, dmin, positive_edges
 
 
 @dataclass(frozen=True)
@@ -242,19 +243,15 @@ def omega_std(d):
     return Orientation(x.sign * (-1) ** ((n - 2) * (n - 3) // 2), x.keys)
 
 
-def _down_step(cur, step):
-    for nxt, st in cocovers(cur):
-        if st == step:
-            return nxt
-    raise DiagramError("step does not apply at %s" % fmt(cur))
-
-
 def omega_sd(s, d, omega_d, path=None):
     """Induced orientation on the edges of `s`, for S_max <= D_min.
 
     `omega_d` is the metric orientation of the fully metric generator on
     `d`; its keys must be exactly the edges of `d`, which must also be the
-    positive edges of dmin(d).
+    positive edges of dmin(d).  `path` lists the moves from dmin(d) down
+    to dmax(s) as entries (B', MoveStep) of `tamari.cocovers`, by default
+    those of `tamari.descend`; each trades the positive edge at its site
+    for one of B'.
     """
     d_min, s_max = dmin(d), dmax(s)
     own = frozenset(edges(d))
@@ -265,9 +262,8 @@ def omega_sd(s, d, omega_d, path=None):
     tracked = {k: k for k in omega_d.keys}
     cur = d_min
     if path is None:
-        path = move_path_down(d_min, s_max)
-    for step in path:
-        nxt = _down_step(cur, step)
+        path = descend(d_min, s_max)
+    for nxt, step in path:
         lost = positive_edges(cur) - positive_edges(nxt)
         gained = positive_edges(nxt) - positive_edges(cur)
         if len(lost) != 1 or len(gained) != 1 or step.site not in lost:

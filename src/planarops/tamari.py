@@ -2,7 +2,7 @@
 
 A pair of binary diagrams is an edge-pair when the two arise as the two
 binary expansions of a common codimension-one diagram; the junction where
-they differ identifies the move type and its direction:
+they differ identifies the move type and the smaller member:
 
   (1) thin vertex:     left-grouped pair  <  right-grouped pair
   (2) module vertex carrying one left and one right tree:
@@ -40,11 +40,6 @@ class MoveStep:
     move: int                 # 1..6
     site: frozenset
     new: frozenset
-    direction: str            # "up" | "down"
-
-    def inverse(self):
-        return MoveStep(self.move, self.new, self.site,
-                        "down" if self.direction == "up" else "up")
 
     def apply(self, key):
         return self.new if key == self.site else key
@@ -100,7 +95,7 @@ def _moves(b, up):
     for e in edges(b):
         move, other, oe, b_small = _edge_pair(b, e)
         if b_small == up:
-            out.append((other, MoveStep(move, e, oe, "up" if up else "down")))
+            out.append((other, MoveStep(move, e, oe)))
     out.sort(key=lambda pair: fmt(pair[0]))
     return tuple(out)
 
@@ -113,7 +108,7 @@ def covers(b):
 
 @lru_cache(maxsize=None)
 def cocovers(b):
-    """All (B', MoveStep) with B' < b an elementary move (step points down)."""
+    """All (B', MoveStep) with B' < b an elementary move."""
     return _moves(b, False)
 
 
@@ -237,33 +232,22 @@ def dmax(d):
     return inner_diagram(la, (), ra, ())
 
 
-def move_path_down(top, bottom):
-    """A deterministic path of downward MoveSteps from `top` to `bottom`.
+def descend(top, bottom):
+    """The entries (B', MoveStep) of `cocovers` that lead down from `top`
+    to `bottom`: at each diagram, the first whose B' is still >= bottom.
 
-    Shortest path by breadth-first search, ties broken by the canonical
-    serialization of the intermediate diagrams; requires bottom <= top.
+    The walk reaches `bottom` whenever bottom <= top, since the last move
+    of an upward path from `bottom` to a diagram above it is a cocover of
+    that diagram lying above `bottom`.
     """
-    if top == bottom:
-        return ()
-    parent = {top: None}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for x in sorted(frontier, key=fmt):
-            for y, step in cocovers(x):         # already in fmt order
-                if y not in parent:
-                    parent[y] = (x, step)
-                    if y == bottom:
-                        path = []
-                        cur = y
-                        while parent[cur] is not None:
-                            px, st = parent[cur]
-                            path.append(st)
-                            cur = px
-                        return tuple(reversed(path))
-                    nxt.append(y)
-        frontier = nxt
-    raise DiagramError("%s is not below %s" % (fmt(bottom), fmt(top)))
+    above = _descendants(bottom)
+    cur = top
+    while cur != bottom:
+        entry = next((e for e in cocovers(cur) if e[0] in above), None)
+        if entry is None:
+            raise DiagramError("%s is not below %s" % (fmt(bottom), fmt(top)))
+        yield entry
+        cur = entry[0]
 
 
 def poset_extremes(shape):

@@ -1,4 +1,4 @@
-"""The subdivision map q and its one-sided inverse p.
+"""The subdivision map q and the projection p, with pq = id.
 
 q sends a corolla to the sum of all fully metric binary diagrams of its
 shape class with standard orientation, and extends multiplicatively; the
@@ -70,6 +70,6 @@ def _p_image(gen):
 
 
 def p_map(x):
-    """The quasi-inverse of q, extended linearly; the sign character of the
-    action reappears."""
+    """The projection, with pq = id, extended linearly; the sign character
+    of the action reappears."""
     return x.apply(_p_image)

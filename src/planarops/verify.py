@@ -286,7 +286,7 @@ def _alt_down_paths(top, bottom, limit):
             out.append(path)
             continue
         for nxt, step in cocovers(cur):
-            stack.append((nxt, path + (step,)))
+            stack.append((nxt, path + ((nxt, step),)))
     return out
 
 

@@ -285,7 +285,11 @@ def test_bad_numbers_say_what_was_expected(capsys):
     cases = [(["enumerate", "T", "0"], "shapes look like T4"),
              (["boundary", "c", "x*((* *))"], "coefficient"),
              (["boundary", "c", "((* *) ; 1 x)"], "permutation"),
-             (["boundary", "c", "((* *) ; id ; [1-2x])"], "leaf intervals")]
+             (["boundary", "c", "((* *) ; id ; [1-2x])"], "leaf intervals"),
+             (["boundary", "c", "(((* *) *) ; id ; [0-1])"], "leaves 1..3"),
+             (["pmap", "(((* *) *) ; id ; [1-2] ; metric:[2-4])"],
+              "leaves 1..3"),
+             (["qmap", "((* (* *) *) ; id ; [3-7])"], "leaves 1..4")]
     for argv, needle in cases:
         code = main(argv)
         err = capsys.readouterr().err

@@ -127,6 +127,17 @@ def test_omega_sd_on_maximal_binary():
         assert got == Orientation(1, ())
 
 
+def test_omega_sd_refuses_a_summand_not_below():
+    # for the corolla D, D_min is the bottom of the order, so no other
+    # binary S has S_max <= D_min
+    for shape in SMALL_SHAPES:
+        c = corolla_of(shape)
+        for s in enumerate_class(shape, 0):
+            if s != dmin(c):
+                with pytest.raises(DiagramError, match="is not below"):
+                    omega_sd(s, c, Orientation(1, ()))
+
+
 def _all_down_paths(top, bottom, limit=200):
     paths = []
     stack = [(top, ())]
@@ -136,7 +147,7 @@ def _all_down_paths(top, bottom, limit=200):
             paths.append(path)
             continue
         for nxt, step in cocovers(cur):
-            stack.append((nxt, path + (step,)))
+            stack.append((nxt, path + ((nxt, step),)))
     return paths
 
 

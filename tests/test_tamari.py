@@ -5,7 +5,7 @@ from planarops.diagrams import (
     degree, edges, enumerate_class, inner_corolla, parse, tree_corolla,
 )
 from planarops.tamari import (
-    classify_edges, cocovers, covers, dmax, dmin, leq, move_path_down,
+    classify_edges, cocovers, covers, descend, dmax, dmin, leq,
     positive_edges, poset_extremes,
 )
 
@@ -157,25 +157,22 @@ def test_dmin_inserts_negative_dmax_positive():
                 assert all(cls_mx[e] == +1 for e in set(edges(mx)) - own)
 
 
-def test_move_path_down():
-    shape = ShapeClass(TREE, (4,))
-    bmin, bmax = poset_extremes(shape)
-    path = move_path_down(bmax, bmin)
-    cur = bmax
-    for step in path:
-        assert step.direction == "down"
-        nxt = [b for b, st in cocovers(cur) if st == step]
-        assert len(nxt) == 1
-        cur = nxt[0]
-    assert cur == bmin
-    assert move_path_down(bmax, bmax) == ()
-    with pytest.raises(DiagramError):
-        move_path_down(bmin, bmax)
+def test_descend_reaches_every_diagram_below():
+    for shape in SMALL_SHAPES:
+        for top in binaries(shape):
+            for bottom in binaries(shape):
+                if not leq(bottom, top):
+                    continue
+                cur = top
+                for entry in descend(top, bottom):
+                    assert entry == next(e for e in cocovers(cur)
+                                         if leq(bottom, e[0]))
+                    cur = entry[0]
+                assert cur == bottom
 
 
-def test_move_step_bijection_roundtrip():
-    b = dmin(tree_corolla(4))
-    for b2, step in covers(b):
-        inv = step.inverse()
-        for e in edges(b):
-            assert inv.apply(step.apply(e)) == e
+def test_move_step_renames_edges_bijectively():
+    for shape in SMALL_SHAPES:
+        for b in binaries(shape):
+            for b2, step in covers(b) + cocovers(b):
+                assert {step.apply(k) for k in edges(b)} == set(edges(b2))
