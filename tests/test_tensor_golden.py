@@ -1,12 +1,15 @@
 """Golden tensor structures: every entry of A (x) B, exactly.
 
 For each pairing below, ``tensor_structure(sa, sb, max_mu=4, max_inner=2)``
-must reproduce ``tests/data/tensor_structure_golden.json`` entry by entry:
-the differential, and the type (arity, output kind, degree) and every
-nonzero entry of each structure map.  The pairings are the 9 ordered pairs
+(``max_inner=3`` in the cases named "inner 3") must reproduce
+``tests/data/tensor_structure_golden.json`` entry by entry: the
+differential, and the type (arity, output kind, degree) and every nonzero
+entry of each structure map.  The pairings are the 9 ordered pairs
 of the shipped fixtures, the tensor squares of the cyclic witness
 `cyclic_mu3`, and two seeded dense `random_structures` pairings with odd
-elements on both sides, so the Koszul signs of `tensor_maps` show.
+elements on both sides, so the Koszul signs of `tensor_maps` show.  The
+same two seeds at ``max_inner=3`` reach the inner corollas whose
+decompositions rotate, so the rotation `sigma` of a compose node shows too.
 
 When an output change is intended, regenerate the data from the root of a
 checkout with
@@ -28,7 +31,13 @@ GOLDEN = Path(__file__).resolve().parent / "data" / \
 FIXTURE_NAMES = ("frobenius", "two_term", "mu3")
 CASES = (["%s (x) %s" % (a, b) for a in FIXTURE_NAMES for b in FIXTURE_NAMES]
          + ["cyclic_mu3 %d %d squared" % p for p in ((1, -3), (-1, 5))]
-         + ["random %d" % seed for seed in (1, 2)])
+         + ["random %d" % seed for seed in (1, 2)]
+         + ["random %d inner 3" % seed for seed in (1, 2)])
+
+
+def max_inner(case):
+    words = case.split()
+    return int(words[3]) if words[2:3] == ["inner"] else 2
 
 
 def structures(case):
@@ -38,10 +47,10 @@ def structures(case):
         s = cyclic_mu3(int(words[1]), int(words[2]))
         return s, s
     if words[0] == "random":
-        rng = random.Random(int(words[1]))
-        return (random_structures(rng, (0, 1), max_mu=4, max_inner=2),
+        rng, inner = random.Random(int(words[1])), max_inner(case)
+        return (random_structures(rng, (0, 1), max_mu=4, max_inner=inner),
                 random_structures(rng, (1, 0), max_mu=4, rho_degree=1,
-                                  max_inner=2))
+                                  max_inner=inner))
     return fixture(words[0]), fixture(words[2])
 
 
@@ -50,7 +59,8 @@ def entries(m):
 
 
 def structure_data(case):
-    pair = tensor_structure(*structures(case), max_mu=4, max_inner=2)
+    pair = tensor_structure(*structures(case), max_mu=4,
+                            max_inner=max_inner(case))
     return {"rho_degree": pair.rho_degree, "d": entries(pair.d),
             "maps": {repr(shape): {"type": [m.arity, m.out, m.degree],
                                    "entries": entries(m)}
