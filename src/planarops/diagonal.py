@@ -79,8 +79,12 @@ def c_tensor_boundary(x):
 
 
 def _both_factors(f, x):
-    """Apply the linear map f to both factors of a sum of tensor generators."""
-    return x.apply(lambda ab: bilinear(f(unit(ab[0])), f(unit(ab[1])), _pair))
+    """Apply the linear map f to both factors of a sum of tensor generators;
+    the right factor's image is skipped where the left one is zero."""
+    def image(ab):
+        left = f(unit(ab[0]))
+        return bilinear(left, f(unit(ab[1])), _pair) if left else FormalSum()
+    return x.apply(image)
 
 
 def p_tensor(x):

@@ -23,7 +23,8 @@ that edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 
 from .diagrams import (
     MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract,
@@ -124,18 +125,24 @@ def positive_edges(b):
     return frozenset(e for e, s in classify_edges(b).items() if s > 0)
 
 
-@lru_cache(maxsize=None)
-def _descendants(b):
-    """All binary diagrams >= b (including b)."""
+def _reach(b, moves):
+    """All binary diagrams reached from b by repeated `moves` (`covers` or
+    `cocovers`), b included."""
     seen = {b}
     stack = [b]
     while stack:
         x = stack.pop()
-        for y, _step in covers(x):
+        for y, _step in moves(x):
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return frozenset(seen)
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _descendants(b):
+    """All binary diagrams >= b (including b)."""
+    return frozenset(_reach(b, covers))
 
 
 def leq(b1, b2):
@@ -153,10 +160,18 @@ def below(t):
     """The cells S of t's shape class of complementary degree with
     S_max <= t_min, in `enumerate_class` order.  This is the one reading of
     the relation: p, the diagonal's support and the checks all go through
-    it."""
-    t_min = dmin(t)
-    return [s for s in enumerate_class(shape_class(t), edge_count(t))
-            if leq(dmax(s), t_min)]
+    it.
+
+    S_max = B exactly when S contracts only positive edges of B, so the
+    cells are the B / X for B in the down-set of t_min and X a set of
+    edge_count(t) positive edges of B, each met once."""
+    k = edge_count(t)
+    cells = []
+    for b in _reach(dmin(t), cocovers):
+        cells.extend(reduce(contract, x, b)
+                     for x in combinations(positive_edges(b), k))
+    cells.sort(key=fmt)
+    return cells
 
 
 def _min_thin(t, comb):

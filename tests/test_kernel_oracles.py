@@ -13,7 +13,8 @@ from planarops.diagrams import (
     INNER, MODULE, THICK, TREE, ModuleVertex, ThinTree, _stacks,
     canonical_addresses, canonical_colors, corolla_of, cut, degree, edge_locs,
     edges, enumerate_class, fmt, inner_corolla, inner_diagram, leaf_count,
-    module_diagram, rotate180, shape_class, shapes_up_to, tree_diagram,
+    module_diagram, parse, rotate180, shape_class, shapes_up_to,
+    tree_diagram,
 )
 from planarops.tamari import (
     _edge_pair, below, classify_edges, cocovers, covers, dmax, dmin, leq,
@@ -292,18 +293,29 @@ def rotation_setwise(shape):
                for t in class_diagrams(shape))
 
 
-def test_both_rotation_checks_catch_a_leq_flipped_on_one_pair(
-        fresh_caches, monkeypatch):
+def test_both_rotation_checks_catch_one_move_dropped(fresh_caches,
+                                                    monkeypatch):
     shapes = shapes_up_to(5, kinds=(INNER,))
     for shape in shapes:
         assert rotation_pairwise(shape) and rotation_setwise(shape), shape
+    # the order loses one relation of I2,0, which the pairwise oracle reads
+    # as S_max <= T_min for the cells s and t below: move 5 of the upper
+    # tree from the left arm to the right, dropped from `covers` and
+    # `cocovers` together
     c = inner_corolla(2, 0)
-    flipped = (dmax(c), dmin(c))     # the maximum is not below the minimum
-    real = tamari.leq
-    assert not real(*flipped)
-    monkeypatch.setattr(
-        tamari, "leq", lambda b1, b2: real(b1, b2) != ((b1, b2) == flipped))
-    # I2,0 and its rotation I0,2 each meet the flipped pair
+    s = parse("<{ ; | ; * *} ;  ; | ; >")
+    t = parse("<| ;  ; {* * ; | ; } ; >")
+    assert degree(s) + degree(t) == degree(c)
+    lo, hi = dmax(s), dmin(t)
+    assert [(b, step.move) for b, step in covers(lo)] == [(hi, 5)]
+    real_covers, real_cocovers = tamari.covers, tamari.cocovers
+    monkeypatch.setattr(tamari, "covers", lambda b: tuple(
+        e for e in real_covers(b) if (b, e[0]) != (lo, hi)))
+    monkeypatch.setattr(tamari, "cocovers", lambda b: tuple(
+        e for e in real_cocovers(b) if (e[0], b) != (lo, hi)))
+    fresh_caches()
+    assert not tamari.leq(lo, hi)
+    # I2,0 and its rotation I0,2 each meet the dropped move
     failing = {shape for shape in shapes if not rotation_pairwise(shape)}
     assert failing == {shape_class(c), shape_class(rotate180(c))}
     assert {shape for shape in shapes

@@ -10,6 +10,7 @@ from planarops.orientations import (
     wedge, xi, xi_via,
 )
 from planarops.tamari import cocovers, covers, dmax, dmin
+from planarops.verify import _alt_down_paths
 
 E1 = frozenset({1, 2})
 E2 = frozenset({2, 3})
@@ -138,21 +139,9 @@ def test_omega_sd_refuses_a_summand_not_below():
                     omega_sd(s, c, Orientation(1, ()))
 
 
-def _all_down_paths(top, bottom, limit=200):
-    paths = []
-    stack = [(top, ())]
-    while stack and len(paths) < limit:
-        cur, path = stack.pop()
-        if cur == bottom:
-            paths.append(path)
-            continue
-        for nxt, step in cocovers(cur):
-            stack.append((nxt, path + ((nxt, step),)))
-    return paths
-
-
 def test_omega_sd_path_independent():
-    # compare the induced orientation over every down path, not just BFS's
+    # compare the induced orientation over up to 200 down paths, not just
+    # the greedy descent's
     from planarops.tamari import leq, positive_edges
     cases = []
     for shape in (ShapeClass(TREE, (5,)), ShapeClass(INNER, (2, 1))):
@@ -170,5 +159,5 @@ def test_omega_sd_path_independent():
     for s, d in cases:
         omega_d = orient(edges(d), 1)
         ref = omega_sd(s, d, omega_d)
-        for path in _all_down_paths(dmin(d), dmax(s)):
+        for path in _alt_down_paths(dmin(d), dmax(s), limit=200):
             assert omega_sd(s, d, omega_d, path=path) == ref, (fmt(s), fmt(d))

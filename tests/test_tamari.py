@@ -1,8 +1,14 @@
+from collections import Counter
+from functools import reduce
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, TREE, DiagramError, ShapeClass, contract, corolla_of,
-    degree, edges, enumerate_class, inner_corolla, parse, tree_corolla,
+    degree, edges, enumerate_class, inner_corolla, parse, shapes_up_to,
+    tree_corolla,
 )
 from planarops.tamari import (
     classify_edges, cocovers, covers, descend, dmax, dmin, leq,
@@ -155,6 +161,25 @@ def test_dmin_inserts_negative_dmax_positive():
                 assert all(cls_mn[e] == -1 for e in set(edges(mn)) - own)
                 cls_mx = classify_edges(mx)
                 assert all(cls_mx[e] == +1 for e in set(edges(mx)) - own)
+
+
+def test_cells_are_the_positive_contractions_of_their_maximum():
+    # what `below` walks by: S_max = B exactly when S contracts only
+    # positive edges of B, so the B / X, X among the positive edges of B,
+    # are every cell of the class once; past the oracles' 6-leaf cap
+    nbin = 0
+    for shape in shapes_up_to(7):
+        counts = Counter()
+        for b in binaries(shape):
+            nbin += 1
+            pos = positive_edges(b)
+            for r in range(len(pos) + 1):
+                for x in combinations(pos, r):
+                    assert dmax(reduce(contract, x, b)) == b, (b, x)
+                counts[r] += comb(len(pos), r)
+        for k in range(degree(corolla_of(shape)) + 1):
+            assert counts[k] == len(enumerate_class(shape, k)), (shape, k)
+    assert nbin == 2835
 
 
 def test_descend_reaches_every_diagram_below():
