@@ -11,11 +11,12 @@ composition; ``omega_std`` differs from it by the global factor
 orientation under the move's edge identification, and these two descriptions
 agree, which the test suite checks move by move.
 
-``omega_sd(S, D, omega_D)`` is the orientation a summand S of the projection
+``omega_sd(S, D, omega_D, path)`` is the orientation a summand S of the projection
 of a fully metric generator D inherits: the positive edges of D_min (the
-edges of D) are carried down the moves of `tamari.descend` to the positive
-edges of S_max and contracted out of xi(S_max).  Every path down gives the
-same orientation; `verify.check_orientations` compares several.
+edges of D) are carried down a path of moves to the positive edges of
+S_max and contracted out of xi(S_max).  Every path down gives the same
+orientation, so p takes the tree path of `tamari.cells_below`;
+`verify.check_orientations` compares several.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import perms
 from .diagrams import (
     DiagramError, cut, degree, edges, fmt, is_binary, leaf_count,
 )
-from .tamari import descend, dmax, dmin, positive_edges
+from .tamari import dmax, dmin, positive_edges
 
 
 @dataclass(frozen=True)
@@ -243,15 +244,14 @@ def omega_std(d):
     return Orientation(x.sign * (-1) ** ((n - 2) * (n - 3) // 2), x.keys)
 
 
-def omega_sd(s, d, omega_d, path=None):
+def omega_sd(s, d, omega_d, path):
     """Induced orientation on the edges of `s`, for S_max <= D_min.
 
     `omega_d` is the metric orientation of the fully metric generator on
     `d`; its keys must be exactly the edges of `d`, which must also be the
     positive edges of dmin(d).  `path` lists the moves from dmin(d) down
-    to dmax(s) as entries (B', MoveStep) of `tamari.cocovers`, by default
-    those of `tamari.descend`; each trades the positive edge at its site
-    for one of B'.
+    to dmax(s) as entries (B', MoveStep) of `tamari.cocovers`; each trades
+    the positive edge at its site for one of B'.
     """
     d_min, s_max = dmin(d), dmax(s)
     own = frozenset(edges(d))
@@ -261,8 +261,6 @@ def omega_sd(s, d, omega_d, path=None):
         raise DiagramError("the edges of d are not the positive edges of dmin")
     tracked = {k: k for k in omega_d.keys}
     cur = d_min
-    if path is None:
-        path = descend(d_min, s_max)
     for nxt, step in path:
         lost = positive_edges(cur) - positive_edges(nxt)
         gained = positive_edges(nxt) - positive_edges(cur)

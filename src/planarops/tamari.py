@@ -126,22 +126,33 @@ def positive_edges(b):
 
 
 def _reach(b, moves):
-    """All binary diagrams reached from b by repeated `moves` (`covers` or
-    `cocovers`), b included."""
-    seen = {b}
+    """The diagrams reached from b by repeated `moves` (`covers` or
+    `cocovers`), as a spanning tree: each maps to (parent, MoveStep), where
+    (it, MoveStep) is the entry of `moves(parent)` that first reached it,
+    and b maps to None."""
+    tree = {b: None}
     stack = [b]
     while stack:
         x = stack.pop()
-        for y, _step in moves(x):
-            if y not in seen:
-                seen.add(y)
+        for y, step in moves(x):
+            if y not in tree:
+                tree[y] = (x, step)
                 stack.append(y)
-    return seen
+    return tree
+
+
+def tree_path(tree, b):
+    """The move entries (B', MoveStep) along a tree of `_reach`, from its
+    root to b."""
+    if tree[b] is None:
+        return []
+    parent, step = tree[b]
+    return tree_path(tree, parent) + [(b, step)]
 
 
 @lru_cache(maxsize=None)
 def _descendants(b):
-    """All binary diagrams >= b (including b)."""
+    """All binary diagrams >= b (including b); the memo behind `leq`."""
     return frozenset(_reach(b, covers))
 
 
@@ -156,22 +167,26 @@ def leq(b1, b2):
     return False
 
 
-def below(t):
-    """The cells S of t's shape class of complementary degree with
-    S_max <= t_min, in `enumerate_class` order.  This is the one reading of
-    the relation: p, the diagonal's support and the checks all go through
-    it.
+def cells_below(t):
+    """The tree of `_reach` over the down-set of t_min, and the cells S of
+    t's shape class of complementary degree with S_max <= t_min, as pairs
+    (S, S_max) in `enumerate_class` order of S.
 
     S_max = B exactly when S contracts only positive edges of B, so the
     cells are the B / X for B in the down-set of t_min and X a set of
     edge_count(t) positive edges of B, each met once."""
     k = edge_count(t)
-    cells = []
-    for b in _reach(dmin(t), cocovers):
-        cells.extend(reduce(contract, x, b)
-                     for x in combinations(positive_edges(b), k))
-    cells.sort(key=fmt)
-    return cells
+    tree = _reach(dmin(t), cocovers)
+    cells = [(reduce(contract, x, b), b) for b in tree
+             for x in combinations(positive_edges(b), k)]
+    cells.sort(key=lambda cell: fmt(cell[0]))
+    return tree, cells
+
+
+def below(t):
+    """The cells S of `cells_below(t)`: the one reading of S_max <= t_min,
+    behind p, the diagonal's support and the checks."""
+    return [s for s, _b in cells_below(t)[1]]
 
 
 def _min_thin(t, comb):
@@ -245,24 +260,6 @@ def dmax(d):
     la = tuple(ModuleVertex((_min_thin(t, _right_comb),), ())
                for t in reversed(inn.down)) + _max_stack(inn.left_arm)
     return inner_diagram(la, (), ra, ())
-
-
-def descend(top, bottom):
-    """The entries (B', MoveStep) of `cocovers` that lead down from `top`
-    to `bottom`: at each diagram, the first whose B' is still >= bottom.
-
-    The walk reaches `bottom` whenever bottom <= top, since the last move
-    of an upward path from `bottom` to a diagram above it is a cocover of
-    that diagram lying above `bottom`.
-    """
-    above = _descendants(bottom)
-    cur = top
-    while cur != bottom:
-        entry = next((e for e in cocovers(cur) if e[0] in above), None)
-        if entry is None:
-            raise DiagramError("%s is not below %s" % (fmt(bottom), fmt(top)))
-        yield entry
-        cur = entry[0]
 
 
 def poset_extremes(shape):

@@ -5,7 +5,8 @@ shape class with standard orientation, and extends multiplicatively; the
 signed relabeling action on the source becomes the unsigned one on the
 target.  p sends a fully metric generator D to the sum of the diagrams S in
 `tamari.below(D)`, those of complementary degree with S_max <= D_min, each
-carrying the induced orientation, extends multiplicatively over non-metric
+carrying the orientation induced along its path in the one walk of D_min's
+down-set (`tamari.cells_below`), extends multiplicatively over non-metric
 edges, and turns the unsigned action back into the signed one.
 
 Both maps are multiplicative and intertwine the actions, so the image of
@@ -30,7 +31,7 @@ from .operad_q import (
     q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
-from .tamari import below, dmin, positive_edges
+from .tamari import cells_below, dmin, positive_edges, tree_path
 
 
 @lru_cache(maxsize=None)
@@ -58,8 +59,9 @@ def _p_fullmetric(diagram):
     if positive_edges(dmin(diagram)) != frozenset(edges(diagram)):
         return FormalSum()
     omega_d = orient(edges(diagram), 1)
-    return FormalSum(c_generator(s, orientation=omega_sd(s, diagram, omega_d))
-                     for s in below(diagram))
+    tree, cells = cells_below(diagram)
+    return FormalSum(c_generator(s, orientation=omega_sd(
+        s, diagram, omega_d, tree_path(tree, b))) for s, b in cells)
 
 
 @lru_cache(maxsize=None)

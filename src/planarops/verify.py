@@ -28,7 +28,7 @@ from .tamari import (
     below, classify_edges, cocovers, covers, dmax, dmin, poset_extremes,
     positive_edges,
 )
-from .transfer import p_map, q_map
+from .transfer import _p_fullmetric, p_map, q_map
 from .diagonal import (
     coassoc_defect_q, delta_c, delta_c_mod_higher, delta_q,
     noncoassociativity_witness, q_tensor_boundary, support_formula,
@@ -260,16 +260,17 @@ def check_orientations(cap):
             for b2, step in covers(b):
                 if transfer(omega_std(b), step) != omega_std(b2):
                     return False, "transfer mismatch at %s" % fmt(b)
+    # each term p ships, its orientation from p's own tree path, against
+    # the terms other down paths give
     pairs = 0
     for shape in shapes_up_to(cap7):
         for d in class_diagrams(shape):
-            if positive_edges(dmin(d)) != frozenset(edges(d)):
-                continue
             omega_d = orient(edges(d), 1)
-            for s in below(d):
-                ref = omega_sd(s, d, omega_d)
+            for gen, sign in _p_fullmetric(d):
+                s = gen.diagram
                 for path in _alt_down_paths(dmin(d), dmax(s), limit=12):
-                    if omega_sd(s, d, omega_d, path=path) != ref:
+                    o = omega_sd(s, d, omega_d, path)
+                    if c_generator(s, orientation=o) != (gen, sign):
                         return False, "path dependence for %s in %s" % (
                             fmt(s), fmt(d))
                 pairs += 1

@@ -9,7 +9,9 @@ from planarops.orientations import (
     Orientation, omega_sd, omega_std, orient, pair_contract, transfer,
     wedge, xi, xi_via,
 )
-from planarops.tamari import cocovers, covers, dmax, dmin
+from planarops.tamari import (
+    _reach, cells_below, cocovers, covers, dmax, dmin, tree_path,
+)
 from planarops.verify import _alt_down_paths
 
 E1 = frozenset({1, 2})
@@ -117,31 +119,36 @@ def test_omega_std_contracts_to_plus_one():
 
 def test_omega_sd_on_corolla():
     for c in [tree_corolla(4), module_corolla(2, 1), inner_corolla(1, 1)]:
-        got = omega_sd(dmin(c), c, Orientation(1, ()))
+        got = omega_sd(dmin(c), c, Orientation(1, ()), [])
         assert got == xi(dmin(c))
 
 
 def test_omega_sd_on_maximal_binary():
     for c in [tree_corolla(4), module_corolla(2, 1), inner_corolla(1, 1)]:
         b = dmax(c)
-        got = omega_sd(c, b, omega_std(b))
+        got = omega_sd(c, b, omega_std(b), [])
         assert got == Orientation(1, ())
 
 
 def test_omega_sd_refuses_a_summand_not_below():
     # for the corolla D, D_min is the bottom of the order, so no other
-    # binary S has S_max <= D_min
+    # binary S has S_max <= D_min, and no path of D_min's down-set reaches
+    # S_max
     for shape in SMALL_SHAPES:
         c = corolla_of(shape)
+        tree = _reach(dmin(c), cocovers)
+        assert list(tree) == [dmin(c)]
         for s in enumerate_class(shape, 0):
             if s != dmin(c):
-                with pytest.raises(DiagramError, match="is not below"):
-                    omega_sd(s, c, Orientation(1, ()))
+                with pytest.raises(DiagramError,
+                                   match="did not reach S_max"):
+                    omega_sd(s, c, Orientation(1, ()),
+                             tree_path(tree, dmin(c)))
 
 
 def test_omega_sd_path_independent():
     # compare the induced orientation over up to 200 down paths, not just
-    # the greedy descent's
+    # the tree path p takes
     from planarops.tamari import leq, positive_edges
     cases = []
     for shape in (ShapeClass(TREE, (5,)), ShapeClass(INNER, (2, 1))):
@@ -158,6 +165,8 @@ def test_omega_sd_path_independent():
     assert cases
     for s, d in cases:
         omega_d = orient(edges(d), 1)
-        ref = omega_sd(s, d, omega_d)
+        tree, cells = cells_below(d)
+        assert (s, dmax(s)) in cells
+        ref = omega_sd(s, d, omega_d, tree_path(tree, dmax(s)))
         for path in _alt_down_paths(dmin(d), dmax(s), limit=200):
-            assert omega_sd(s, d, omega_d, path=path) == ref, (fmt(s), fmt(d))
+            assert omega_sd(s, d, omega_d, path) == ref, (fmt(s), fmt(d))

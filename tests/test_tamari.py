@@ -11,8 +11,8 @@ from planarops.diagrams import (
     tree_corolla,
 )
 from planarops.tamari import (
-    classify_edges, cocovers, covers, descend, dmax, dmin, leq,
-    positive_edges, poset_extremes,
+    _reach, classify_edges, cocovers, covers, dmax, dmin, leq,
+    positive_edges, poset_extremes, tree_path,
 )
 
 SMALL_SHAPES = [
@@ -182,18 +182,23 @@ def test_cells_are_the_positive_contractions_of_their_maximum():
     assert nbin == 2835
 
 
-def test_descend_reaches_every_diagram_below():
+def test_the_down_walk_is_a_spanning_tree_of_the_down_set():
     for shape in SMALL_SHAPES:
         for top in binaries(shape):
-            for bottom in binaries(shape):
-                if not leq(bottom, top):
-                    continue
+            tree = _reach(top, cocovers)
+            assert set(tree) == {b for b in binaries(shape) if leq(b, top)}
+            assert tree[top] is None
+            for b, entry in tree.items():
+                if b != top:
+                    parent, step = entry
+                    assert (b, step) in cocovers(parent)
+                path = tree_path(tree, b)
                 cur = top
-                for entry in descend(top, bottom):
-                    assert entry == next(e for e in cocovers(cur)
-                                         if leq(bottom, e[0]))
-                    cur = entry[0]
-                assert cur == bottom
+                for nxt, step in path:
+                    assert (nxt, step) in cocovers(cur)
+                    cur = nxt
+                assert cur == b
+                assert not path or path[-1][0] == b
 
 
 def test_move_step_renames_edges_bijectively():

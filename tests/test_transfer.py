@@ -18,7 +18,7 @@ from planarops.operad_q import (
 )
 from planarops.orientations import omega_std, xi
 from planarops.perms import identity
-from planarops.tamari import dmax, dmin
+from planarops.tamari import _descendants, dmax, dmin
 from planarops.transfer import (
     _p_fullmetric, _p_image, _q_corolla, _q_image, p_map, q_map,
 )
@@ -229,3 +229,14 @@ def test_cut_is_memoized():
                 c = cut(d, e)
                 assert cut(d, e) is c
                 assert c.graft.diagram is d and c.graft.new_edge == e
+
+
+def test_p_walks_no_up_set(fresh_caches):
+    # p reads each cell and its move path from the one walk of D_min's
+    # down-set, so it builds no up-set of the order behind `leq`
+    pairs = 0
+    for shape in shapes_up_to(6):
+        for d in class_diagrams(shape):
+            pairs += len(p_map(q_unit(d, metric=edges(d))))
+    assert pairs == 1553
+    assert _descendants.cache_info().misses == 0
