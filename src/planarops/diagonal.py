@@ -6,11 +6,12 @@ and keeps the rest metric, the right factor keeps X metric and freezes the
 rest, with the shuffle sign (-1)^rho(X) counting pairs (i in X, j not in X,
 i < j) in the orientation order.  It is strictly coassociative.
 
-The diagonal on the chain operad is the composite p (x) p . Delta . q; it is
-a chain map and multiplicative, but not coassociative.  On a corolla its
-unsigned support is exactly the set of pairs S (x) T with S in
-`tamari.below(T)`: complementary degree and S_max <= T_min.  The tests check
-that against the composite definition.
+The diagonal on the chain operad is the composite p (x) p . Delta . q, a
+multiplicative, equivariant chain map, not coassociative.  Like q and p, it
+evaluates each generator's corolla decomposition; on a corolla X takes only
+positive edges of each binary B of q, one term per cell B / X that p keeps.
+Its unsigned support there is exactly the set of pairs S (x) T with S in
+`tamari.below(T)`: complementary degree and S_max <= T_min.
 
 Reduction modulo higher inner products deletes every tensor factor whose
 central vertex carries any forest, i.e. every factor whose evaluation would
@@ -27,32 +28,37 @@ from .diagrams import (
     INNER, contract, corolla_of, degree, enumerate_class, is_corolla,
     leaf_count, shape_class, shapes_up_to,
 )
-from .formal import FormalSum, bilinear, unit
-from .operad_c import boundary_c, c_unit, compose_c, sym_action
+from .formal import FormalSum, bilinear, evaluate, unit
+from .operad_c import (
+    boundary_c, c_unit, compose_c, decompose_corollas, sym_action,
+)
 from .operad_q import QGenerator, boundary_q
-from .tamari import below
+from .tamari import below, positive_edges
 from .transfer import p_map, q_map
+
+
+def _serre_image(gen, choosable):
+    """Serre diagonal of `gen`, X among its metric edges in `choosable`."""
+    out = FormalSum()
+    m = gen.metric
+    free = [i for i, e in enumerate(m) if e in choosable]
+    for r in range(len(free) + 1):
+        for xs in combinations(free, r):
+            kept = [j for j in range(len(m)) if j not in xs]
+            left_d = gen.diagram
+            for i in xs:
+                left_d = contract(left_d, m[i])
+            left = QGenerator(left_d, gen.perm, tuple(m[j] for j in kept))
+            right = QGenerator(gen.diagram, gen.perm, tuple(m[i] for i in xs))
+            # (-1)^rho counts the pairs chosen i < kept j: the inversions
+            # of the kept indices followed by the chosen ones
+            out.add_term((left, right), perms.parity(kept + list(xs)))
+    return out
 
 
 def delta_q(x):
     """Serre diagonal of a sum of cubical generators."""
-    def image(gen):
-        out = FormalSum()
-        m = gen.metric
-        for r in range(len(m) + 1):
-            for xs in combinations(range(len(m)), r):
-                kept = [j for j in range(len(m)) if j not in xs]
-                left_d = gen.diagram
-                for i in xs:
-                    left_d = contract(left_d, m[i])
-                left = QGenerator(left_d, gen.perm, tuple(m[j] for j in kept))
-                right = QGenerator(gen.diagram, gen.perm,
-                                   tuple(m[i] for i in xs))
-                # (-1)^rho counts the pairs chosen i < kept j: the
-                # inversions of the kept indices followed by the chosen ones
-                out.add_term((left, right), perms.parity(kept + list(xs)))
-        return out
-    return x.apply(image)
+    return x.apply(lambda gen: _serre_image(gen, gen.metric))
 
 
 def _pair(a, b):
@@ -93,9 +99,18 @@ def p_tensor(x):
 
 
 @lru_cache(maxsize=None)
+def _delta_c_corolla(corolla):
+    """delta_c of the corolla: p of (B; X metric) is p of B's binary pieces,
+    zero unless each is its class's maximum, so X takes positive edges."""
+    return p_tensor(q_map(c_unit(corolla)).apply(
+        lambda gen: _serre_image(gen, positive_edges(gen.diagram))))
+
+
+@lru_cache(maxsize=None)
 def _delta_c_image(gen):
     """delta_c of one generator; shared, and only read by `apply`."""
-    return p_tensor(delta_q(q_map(unit(gen))))
+    return evaluate(decompose_corollas(gen), _delta_c_image, _delta_c_corolla,
+                    c_tensor_compose, c_tensor_action)
 
 
 def delta_c(x):

@@ -1,13 +1,14 @@
 """The subdivision map q and the projection p, with pq = id.
 
 q sends a corolla to the sum of all fully metric binary diagrams of its
-shape class with standard orientation, and extends multiplicatively; the
-signed relabeling action on the source becomes the unsigned one on the
-target.  p sends a fully metric generator D to the sum of the diagrams S in
-`tamari.below(D)`, those of complementary degree with S_max <= D_min, each
-carrying the orientation induced along its path in the one walk of D_min's
-down-set (`tamari.cells_below`), extends multiplicatively over non-metric
-edges, and turns the unsigned action back into the signed one.
+shape class, the up-set of its minimum, with standard orientation, and
+extends multiplicatively; the signed relabeling action on the source becomes
+the unsigned one on the target.  p sends a fully metric generator D to the
+sum of the diagrams S in `tamari.below(D)`, those of complementary degree
+with S_max <= D_min, each carrying the orientation induced along its path in
+the one walk of D_min's down-set (`tamari.cells_below`), extends
+multiplicatively over non-metric edges, and turns the unsigned action back
+into the signed one.
 
 Both maps are multiplicative and intertwine the actions, so the image of
 a generator is `formal.evaluate` of its first decomposition step
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import edges, enumerate_class, shape_class
+from .diagrams import edges, fmt
 from .formal import FormalSum, evaluate
 from .operad_c import (
     compose_elements as compose_c_elements, c_generator, decompose_corollas,
@@ -31,13 +32,16 @@ from .operad_q import (
     q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
-from .tamari import cells_below, dmin, positive_edges, tree_path
+from .tamari import (
+    _reach, cells_below, covers, dmin, positive_edges, tree_path,
+)
 
 
 @lru_cache(maxsize=None)
 def _q_corolla(diagram):
-    return FormalSum(q_generator(b, orientation=omega_std(b))
-                     for b in enumerate_class(shape_class(diagram), 0))
+    """q of the corolla: its class's binaries, the up-set of its minimum."""
+    return FormalSum(q_generator(b, orientation=omega_std(b)) for b in
+                     sorted(_reach(dmin(diagram), covers), key=fmt))
 
 
 @lru_cache(maxsize=None)

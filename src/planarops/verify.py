@@ -31,8 +31,8 @@ from .tamari import (
 from .transfer import _p_fullmetric, p_map, q_map
 from .diagonal import (
     coassoc_defect_q, delta_c, delta_c_mod_higher, delta_q,
-    noncoassociativity_witness, q_tensor_boundary, support_formula,
-    unsigned_support,
+    noncoassociativity_witness, p_tensor, q_tensor_boundary,
+    support_formula, unsigned_support,
 )
 from .homology import cell_generators, homology_report, is_contractible
 
@@ -238,7 +238,9 @@ def check_order(cap):
 
 def check_orientations(cap):
     """Standard-orientation values, splitting independence, induced
-    orientation path independence."""
+    orientation path independence.  A sign that depends only on the parity
+    of the path length needs a cap of 6 or more: up to 5 leaves, the down
+    paths compared for each pair have lengths of one parity."""
     for k in range(4):
         for l in range(4):
             if k + l == 0:
@@ -292,8 +294,9 @@ def _alt_down_paths(top, bottom, limit):
 
 
 def check_diagonal(cap):
-    """Coassociativity upstairs, the support formula, the published
-    examples, rotation symmetry, and the failure witness downstairs."""
+    """Coassociativity upstairs, the support formula, delta_c against the
+    composite p (x) p . Delta . q, the published examples, rotation
+    symmetry, and the failure witness downstairs."""
     cap6 = min(cap, 6)
     for shape in shapes_up_to(cap6):
         for gen in itertools.chain(*cell_generators(shape, "q")[0]):
@@ -308,6 +311,17 @@ def check_diagonal(cap):
         c = corolla_of(shape)
         if unsigned_support(delta_c(c_unit(c))) != set(support_formula(c)):
             return False, "support formula differs on %r" % (shape,)
+    # delta_c composes its corollas' images, each taken over the positive
+    # edges only; the composite is the definition
+    rng, compared = random.Random(2024), 0
+    for shape in shapes_up_to(min(cap, 5)):
+        for d in class_diagrams(shape):
+            n = leaf_count(d)
+            for perm in (None, tuple(rng.sample(range(1, n + 1), n))):
+                x = unit(c_generator(d, perm)[0])
+                if delta_c(x) != p_tensor(delta_q(q_map(x))):
+                    return False, "delta_c is not the composite at %r" % (x,)
+                compared += 1
     x = delta_c(c_unit(tree_corolla(3)))
     if unsigned_support(x) != {(parse("((* *) *)"), tree_corolla(3)),
                                (tree_corolla(3), parse("(* (* *))"))}:
@@ -337,7 +351,8 @@ def check_diagonal(cap):
     witness = noncoassociativity_witness(cap6)
     if witness is None:
         return False, "no coassociativity failure found"
-    return True, "witness of non-coassociativity: %s" % fmt(witness[0])
+    return True, "delta_c equals the composite on %d generators; witness " \
+        "of non-coassociativity: %s" % (compared, fmt(witness[0]))
 
 
 def _check_published_reductions():

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 from planarops.diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, degree, edges,
     enumerate_class, inner_corolla, leaf_count, module_corolla, parse,
-    rotate180, tree_corolla,
+    rotate180, shapes_up_to, tree_corolla,
 )
 from planarops.formal import FormalSum, unit
 from planarops.operad_c import boundary_c, c_unit, compose_elements
@@ -116,12 +117,14 @@ def test_delta_c_returns_a_fresh_sum():
 
 
 def test_fresh_caches_clears_the_delta_c_images(fresh_caches):
-    from planarops.diagonal import _delta_c_image
+    from planarops.diagonal import _delta_c_corolla, _delta_c_image
     a, _b = _two_generators()
     delta_c(unit(a))
     assert _delta_c_image.cache_info().currsize == 1
+    assert _delta_c_corolla.cache_info().currsize == 1
     fresh_caches()
     assert _delta_c_image.cache_info().currsize == 0
+    assert _delta_c_corolla.cache_info().currsize == 0
 
 
 def test_delta_c_t3_support():
@@ -198,8 +201,30 @@ def test_delta_c_is_multiplicative():
         assert lhs == rhs
 
 
-def test_delta_c_equivariance_observed():
-    # not claimed anywhere; recorded as an observation
+def _composite_mismatches(rng, max_leaves):
+    """The generators up to `max_leaves` leaves, each identity-labeled and
+    with one labeling drawn from `rng`, where delta_c differs from the
+    composite p (x) p . Delta . q; and how many were compared."""
+    from planarops.diagonal import p_tensor
+    from planarops.operad_c import c_generator
+    from planarops.transfer import q_map
+    from planarops.verify import class_diagrams
+    bad, compared = [], 0
+    for shape in shapes_up_to(max_leaves):
+        for d in class_diagrams(shape):
+            n = leaf_count(d)
+            for perm in (None, tuple(rng.sample(range(1, n + 1), n))):
+                x = unit(c_generator(d, perm)[0])
+                if delta_c(x) != p_tensor(delta_q(q_map(x))):
+                    bad.append(x)
+                compared += 1
+    return bad, compared
+
+
+def test_delta_c_equals_the_composite(fresh_caches):
+    # delta_c evaluates each generator's corolla decomposition, so it is
+    # the composite only if that is multiplicative and equivariant; the
+    # composite is the definition, on every generator up to 5 leaves
     from planarops.diagonal import c_tensor_action
     from planarops.operad_c import sym_action
     for d, sigma in [(tree_corolla(3), (2, 3, 1)),
@@ -207,6 +232,25 @@ def test_delta_c_equivariance_observed():
         x = c_unit(d)
         assert delta_c(sym_action(sigma, x)) == c_tensor_action(sigma,
                                                                 delta_c(x))
+    for seed in (5, 6):
+        bad, compared = _composite_mismatches(random.Random(seed), 5)
+        assert not bad, bad[:3]
+        assert compared == 1172
+
+
+def test_delta_c_needs_the_positive_edges(monkeypatch, fresh_caches):
+    # mutation check: a corolla's image taken over the negative edges of
+    # each binary instead must differ from the composite
+    from planarops import diagonal
+    from planarops.tamari import classify_edges
+
+    def negative_edges(b):
+        return frozenset(e for e, s in classify_edges(b).items() if s < 0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diagonal, "positive_edges", negative_edges)
+        bad, _compared = _composite_mismatches(random.Random(5), 4)
+    assert bad
 
 
 # --- rotation symmetry (skew pairing) ----------------------------------------

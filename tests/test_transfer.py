@@ -231,12 +231,25 @@ def test_cut_is_memoized():
                 assert c.graft.diagram is d and c.graft.new_edge == e
 
 
+def test_q_reads_the_binaries_of_each_class(fresh_caches):
+    # q of a corolla reads the binaries of its class from the walk of the
+    # class minimum's up-set, in the order enumerate_class gives them
+    binaries = 0
+    for shape in shapes_up_to(7):
+        got = [gen.diagram for gen in _q_corolla(corolla_of(shape)).terms]
+        assert got == list(enumerate_class(shape, 0)), shape
+        binaries += len(got)
+    assert binaries == 2835
+
+
 def test_p_walks_no_up_set(fresh_caches):
     # p reads each cell and its move path from the one walk of D_min's
-    # down-set, so it builds no up-set of the order behind `leq`
+    # down-set, and q each class's binaries from the walk of its minimum's
+    # up-set, so neither builds an up-set of the order behind `leq`
     pairs = 0
     for shape in shapes_up_to(6):
         for d in class_diagrams(shape):
             pairs += len(p_map(q_unit(d, metric=edges(d))))
+        assert q_map(c_unit(corolla_of(shape)))
     assert pairs == 1553
     assert _descendants.cache_info().misses == 0

@@ -122,6 +122,26 @@ def test_pair_contract_signs_are_load_bearing(monkeypatch, fresh_caches,
     assert not ok, mutant
 
 
+_OMEGA_SD = orientations.omega_sd
+
+
+def _omega_sd_by_path_parity(s, d, omega_d, path):
+    """omega_sd with its sign times (-1)^len(path)."""
+    o = _OMEGA_SD(s, d, omega_d, path)
+    return orientations.Orientation(o.sign * (-1) ** len(path), o.keys)
+
+
+def test_check_orientations_sees_a_path_parity_sign(monkeypatch,
+                                                    fresh_caches):
+    # mutation check: up to 5 leaves the down paths criterion 7 compares
+    # have lengths of one parity for every pair, so this mutant needs cap 6
+    with monkeypatch.context() as patch:
+        for module in (transfer, verify):
+            patch.setattr(module, "omega_sd", _omega_sd_by_path_parity)
+        ok, _detail = verify.check_orientations(6)
+    assert not ok
+
+
 def test_check_endomorphisms_sees_the_sigma_sharp_koszul_sign(monkeypatch,
                                                             fresh_caches):
     # mutation check: the draws of check_endomorphisms carry random
