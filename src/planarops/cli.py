@@ -183,6 +183,10 @@ def emit_element(x, args, pair=False):
 def cmd_enumerate(args):
     shape = parse_shape(args.shape)
     check_size_cap(shape)
+    # a degree above the corolla's has no diagrams; below zero it is no degree
+    if args.degree < 0:
+        raise DiagramError("a degree is a nonnegative integer, not %d"
+                           % args.degree)
     items = enumerate_class(shape, args.degree)
     if args.format == "json":
         print(json.dumps([fmt(d) for d in items], indent=2))

@@ -550,7 +550,8 @@ def edge_locs(d):
 
     Each leaf lists the edges below it: the thick edges of its stack up to
     its vertex (a thick leaf: all of them), then the thin edges on its path.
-    An edge's key is the set of positions of the leaves that list it."""
+    An edge's key is the set of positions of the leaves that list it; the
+    mapping lists the keys in canonical order (see `edges`)."""
     above = {}
     for p, addr in enumerate(canonical_addresses(d), 1):
         wrap = addr[:1] if addr[0] in ("la", "ra") else ()
@@ -566,11 +567,13 @@ def edge_locs(d):
     locs = {frozenset(ps): loc for loc, ps in above.items()}
     if len(locs) != len(above):
         raise DiagramError("edge keys collide on %s" % fmt(d))
-    return locs
+    return dict(sorted(locs.items(), key=lambda kv: sorted(kv[0])))
 
 
 def edges(d):
-    return sorted(edge_locs(d), key=sorted)
+    """The edge keys of `d` in canonical order, ascending by their sorted
+    leaf positions; a fresh list each call, read off `edge_locs`."""
+    return list(edge_locs(d))
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,14 @@ _set_hash = Generator._hash.__set__
 def orient(keys, sign=1):
     """Normalize a wedge of edge keys; None when a factor repeats.  The
     keys sort as in `diagrams.edges`, and the parity of the sort joins the
-    sign."""
-    keys = list(keys)
+    sign.  Edge keys are cyclic leaf intervals, so few wedges are distinct:
+    each `(keys, sign)` is normalized once and its frozen Orientation
+    shared."""
+    return _orient(tuple(keys), sign)
+
+
+@lru_cache(maxsize=None)
+def _orient(keys, sign):
     if len(set(keys)) != len(keys):
         return None
     order = sorted(range(len(keys)), key=lambda i: sorted(keys[i]))

@@ -30,8 +30,8 @@ from .tamari import (
 )
 from .transfer import _p_fullmetric, p_map, q_map
 from .diagonal import (
-    coassoc_defect_q, delta_c, delta_c_mod_higher, delta_q,
-    noncoassociativity_witness, p_tensor, q_tensor_boundary,
+    c_tensor_boundary, coassoc_defect_q, delta_c, delta_c_mod_higher,
+    delta_q, noncoassociativity_witness, p_tensor, q_tensor_boundary,
     support_formula, unsigned_support,
 )
 from .homology import cell_generators, homology_report, is_contractible
@@ -322,6 +322,15 @@ def check_diagonal(cap):
                 if delta_c(x) != p_tensor(delta_q(q_map(x))):
                     return False, "delta_c is not the composite at %r" % (x,)
                 compared += 1
+    # delta_c is a chain map: the tensor differential signs its right
+    # factor by the degree of the left one
+    chain = 0
+    for shape in shapes_up_to(cap6):
+        for d in class_diagrams(shape):
+            x = c_unit(d)
+            if c_tensor_boundary(delta_c(x)) != delta_c(boundary_c(x)):
+                return False, "delta_c is not a chain map at %s" % fmt(d)
+            chain += 1
     x = delta_c(c_unit(tree_corolla(3)))
     if unsigned_support(x) != {(parse("((* *) *)"), tree_corolla(3)),
                                (tree_corolla(3), parse("(* (* *))"))}:
@@ -351,8 +360,9 @@ def check_diagonal(cap):
     witness = noncoassociativity_witness(cap6)
     if witness is None:
         return False, "no coassociativity failure found"
-    return True, "delta_c equals the composite on %d generators; witness " \
-        "of non-coassociativity: %s" % (compared, fmt(witness[0]))
+    return True, "delta_c equals the composite on %d generators and is " \
+        "a chain map on %d diagrams; witness of non-coassociativity: %s" \
+        % (compared, chain, fmt(witness[0]))
 
 
 def _check_published_reductions():

@@ -27,6 +27,10 @@ def test_enumerate(capsys):
     assert "# 5 diagrams" in out
     code, out = run(capsys, "enumerate", "I1,1", "0", "--format", "json")
     assert len(json.loads(out)) == 6
+    # the corolla I5,0 has degree 5: above it the answer is empty
+    code, out = run(capsys, "enumerate", "I5,0", "6")
+    assert code == 0
+    assert out == "# 0 diagrams\n"
 
 
 def test_boundary_text(capsys):
@@ -283,6 +287,7 @@ def test_malformed_fixtures_are_input_errors(capsys, tmp_path):
 
 def test_bad_numbers_say_what_was_expected(capsys):
     cases = [(["enumerate", "T", "0"], "shapes look like T4"),
+             (["enumerate", "I5,0", "-1"], "degree is a nonnegative integer"),
              (["boundary", "c", "x*((* *))"], "coefficient"),
              (["boundary", "c", "((* *) ; 1 x)"], "permutation"),
              (["boundary", "c", "((* *) ; id ; [1-2x])"], "leaf intervals"),

@@ -4,7 +4,7 @@ import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, THICK, THIN, TREE, ColorMismatch, DiagramError, ShapeClass,
-    canonical_colors, contract, cut, degree, edge_count, edges,
+    canonical_colors, contract, cut, degree, edge_count, edge_locs, edges,
     enumerate_class, expansions, fmt, fmt_edge, graft, inner_corolla,
     leaf_count, module_corolla, parse, parse_edge, rotate180, shape_class,
     tree_corolla,
@@ -121,6 +121,24 @@ def test_edge_keys_are_distinct_and_intervals():
             assert len(set(ks)) == len(ks)
             for k in ks:
                 assert parse_edge(fmt_edge(k, n), n) == k
+
+
+def test_edges_read_edge_locs_in_canonical_order():
+    count = 0
+    for shape in shapes_up_to(7):
+        for d in all_diagrams(shape):
+            es = edges(d)
+            assert es == sorted(edge_locs(d), key=sorted) \
+                == list(edge_locs(d)), fmt(d)
+            count += 1
+    assert count == 17308
+    # each call hands out a fresh list
+    d = enumerate_class(ShapeClass(INNER, (2, 1)), 0)[0]
+    es = edges(d)
+    assert len(es) == 3
+    es.reverse()
+    es.append(frozenset())
+    assert edges(d) == sorted(edge_locs(d), key=sorted)
 
 
 # --- contraction / expansion ------------------------------------------------

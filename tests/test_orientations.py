@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
+from planarops import orientations, perms
 from planarops.diagrams import (
     INNER, MODULE, TREE, DiagramError, ShapeClass, edges, enumerate_class,
-    fmt, inner_corolla, leaf_count, module_corolla, tree_corolla,
-    corolla_of,
+    fmt, inner_corolla, leaf_count, module_corolla, shapes_up_to,
+    tree_corolla, corolla_of,
 )
 from planarops.orientations import (
     Orientation, omega_sd, omega_std, orient, pair_contract, transfer,
@@ -12,7 +15,7 @@ from planarops.orientations import (
 from planarops.tamari import (
     _reach, cells_below, cocovers, covers, dmax, dmin, tree_path,
 )
-from planarops.verify import _alt_down_paths
+from planarops.verify import _alt_down_paths, class_diagrams
 
 E1 = frozenset({1, 2})
 E2 = frozenset({2, 3})
@@ -38,6 +41,51 @@ def test_orient_parity():
     assert orient([E2, E1]) == Orientation(-1, (E1, E2))
     assert orient([E3, E1, E2]) == Orientation(1, (E1, E2, E3))
     assert orient([]) == Orientation(1, ())
+
+
+def reference_orient(keys, sign):
+    """orient without the memo: sort by sorted(key), fold in the parity."""
+    keys = list(keys)
+    if len(set(keys)) != len(keys):
+        return None
+    order = sorted(range(len(keys)), key=lambda i: sorted(keys[i]))
+    return Orientation(sign * perms.parity(order),
+                       tuple(keys[i] for i in order))
+
+
+def test_orient_matches_an_unmemoized_reference(fresh_caches):
+    # seeded shuffles of the edges of every diagram up to 6 leaves, as a
+    # list, a tuple and a generator, with both signs
+    rng = random.Random(23)
+    odd = 0
+    for shape in shapes_up_to(6):
+        for d in class_diagrams(shape):
+            es = edges(d)
+            for _ in range(2):
+                keys = rng.sample(es, len(es))
+                for sign in (1, -1):
+                    ref = reference_orient(keys, sign)
+                    assert ref.keys == tuple(es)
+                    odd += ref.sign != sign
+                    for given in (keys, tuple(keys), iter(keys)):
+                        assert orient(given, sign) == ref, (fmt(d), keys)
+            if es:
+                assert orient(es + es[-1:]) is None
+                assert orient(iter(es[:1] * 2), -1) is None
+    assert odd
+
+
+def test_orient_memo_is_a_package_cache(fresh_caches):
+    # an lru_cache bound in the module, so the fixture that clears every
+    # package cache before a mutation test clears this one too
+    memo = orientations._orient
+    assert memo.__module__ == "planarops.orientations"
+    assert memo.cache_info().currsize == 0
+    first = orient([E2, E1], -1)
+    assert orient((E2, E1), -1) is first == Orientation(1, (E1, E2))
+    assert memo.cache_info().currsize == 1
+    fresh_caches()
+    assert memo.cache_info().currsize == 0
 
 
 def test_pair_contract_examples():

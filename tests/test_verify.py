@@ -236,6 +236,23 @@ def test_delta_q_shuffle_sign_is_load_bearing(monkeypatch, fresh_caches):
     assert not ok
 
 
+def _c_tensor_boundary_without_koszul(x):
+    """diagonal.c_tensor_boundary with (-1)^deg(a) replaced by +1."""
+    from planarops import diagonal
+    return diagonal._tensor_boundary(x, operad_c.boundary_c, lambda a: 0)
+
+
+def test_c_tensor_boundary_koszul_sign_is_load_bearing(monkeypatch,
+                                                       fresh_caches):
+    # mutation check: the chain-map identity of delta_c must see the
+    # Koszul sign of the tensor differential within 4 leaves
+    monkeypatch.setattr(verify, "c_tensor_boundary",
+                        _c_tensor_boundary_without_koszul)
+    ok, detail = verify.check_diagonal(4)
+    assert not ok
+    assert "delta_c is not a chain map" in detail
+
+
 def _compose_at_with(koszul):
     """endo.compose_at with its Koszul sign given by `koszul(exponent)`."""
     from planarops.endo import MultiMap
