@@ -39,15 +39,20 @@ Nodes are immutable, and copying or unpickling one returns the interned node.
 Each node carries its leaf count from construction (``leaves``; a module
 vertex ``nleft`` and ``nright`` for its two forests).  Hashes stay
 structural, so set order repeats across interpreters under a fixed
-``PYTHONHASHSEED``.  ``graft`` is memoized on (host, leaf, guest): its
-bookkeeping self-check runs once per distinct triple, and the maps of the
-shared ``Graft`` it returns are read-only.
+``PYTHONHASHSEED``.  Edge keys are interned too (``_key``): equal keys are
+one frozenset, however many diagrams, grafts and memo entries hold them.
+``graft`` is memoized on (host, leaf, guest): its bookkeeping self-check
+runs once per distinct triple, and the maps of the shared ``Graft`` it
+returns are read-only.  ``graft``, ``cut`` and the images of q and p are
+``scoped_memo`` memos, filed by leaf count, so ``release(n)`` drops every
+entry about an n-leaf diagram and keeps the smaller ones.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from types import MappingProxyType
 
 from . import perms
@@ -67,6 +72,84 @@ class DiagramError(ValueError):
 
 class ColorMismatch(DiagramError):
     """Raised when a graft target leaf and the grafted root disagree."""
+
+
+# ---------------------------------------------------------------------------
+# size-scoped memos
+
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
+
+_SCOPED = []        # the `drop(n)` of every scoped memo, for `release`
+
+
+def scoped_memo(size):
+    """Memoize like ``lru_cache(maxsize=None)``, and file each entry under
+    ``size(*args)``, the leaf count of the diagram it is about.  The memo
+    offers ``cache_info``, ``cache_clear`` and ``sizes`` (the leaf counts it
+    holds entries of); ``release(n)`` drops the n-leaf entries of all of
+    them.  A hit is one dict lookup and one count."""
+    def decorate(fn):
+        memo, filed = {}, {}
+        hits = misses = 0
+
+        def miss(args):
+            nonlocal misses
+            misses += 1
+            value = memo[args] = fn(*args)
+            filed.setdefault(size(*args), []).append(args)
+            return value
+
+        def wrapper(*args):
+            nonlocal hits
+            try:
+                value = memo[args]
+            except KeyError:
+                return miss(args)
+            hits += 1
+            return value
+
+        def cache_info():
+            return CacheInfo(hits, misses, len(memo))
+
+        def cache_clear():
+            nonlocal hits, misses
+            memo.clear()
+            filed.clear()
+            hits = misses = 0
+
+        def drop(n):
+            for args in filed.pop(n, ()):
+                del memo[args]
+
+        update_wrapper(wrapper, fn)
+        wrapper.cache_info = cache_info
+        wrapper.cache_clear = cache_clear
+        wrapper.sizes = lambda: sorted(filed)
+        _SCOPED.append(drop)
+        return wrapper
+    return decorate
+
+
+def release(n):
+    """Drop the entries about n-leaf diagrams from every scoped memo.  Both
+    parts of a cut have fewer leaves than the diagram, so a caller done
+    with the n-leaf classes loses nothing the smaller ones reuse."""
+    for drop in _SCOPED:
+        drop(n)
+
+
+# ---------------------------------------------------------------------------
+# edge keys
+
+_KEYS = {}
+
+
+def _key(leaves):
+    """The one frozenset of `leaves`: every edge key is built here, so
+    equal keys are the same object.  Keys are cyclic leaf intervals, so the
+    table stays small."""
+    key = frozenset(leaves)
+    return _KEYS.setdefault(key, key)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +624,7 @@ def parse_edge(text, n):
         if x == b:
             break
         x = x % n + 1
-    return frozenset(out)
+    return _key(out)
 
 
 @lru_cache(maxsize=None)
@@ -564,7 +647,7 @@ def edge_locs(d):
             base = len(wrap) + 3            # trees at wrap + (side, vi, ti)
         for k in range(base, len(addr)):
             above.setdefault(("thin", addr[:k]), []).append(p)
-    locs = {frozenset(ps): loc for loc, ps in above.items()}
+    locs = {_key(ps): loc for loc, ps in above.items()}
     if len(locs) != len(above):
         raise DiagramError("edge keys collide on %s" % fmt(d))
     return dict(sorted(locs.items(), key=lambda kv: sorted(kv[0])))
@@ -860,12 +943,13 @@ def _splice_structure(d, pos, e):
     return _with_stack(d, wrap, _stack_at(d, wrap) + e.payload)
 
 
-@lru_cache(maxsize=None)
+@scoped_memo(lambda d, pos, e: d.leaves + e.leaves - 1)
 def graft(d, pos, e):
     """Attach the root of `e` to leaf `pos` of `d` (spec operation).
 
-    Memoized: the bookkeeping self-check below runs once per distinct
-    (d, pos, e), and later calls return the same `Graft`.
+    Memoized, filed under the composite's leaf count: the bookkeeping
+    self-check below runs once per distinct (d, pos, e), and later calls
+    return the same `Graft`.
     """
     if e.kind == INNER:
         raise ColorMismatch("inner-product diagrams cannot be grafted")
@@ -884,15 +968,12 @@ def graft(d, pos, e):
                 for j in range(1, k + 1) if j != pos}
     guest_pos = {i: shift[pos + i - 2] for i in range(1, l + 1)}
 
-    guest_all = frozenset(guest_pos.values())
+    guest_all = _key(guest_pos.values())
     host_edges = {}
     for key in edge_locs(d):
-        if pos in key:
-            new = frozenset(host_pos[p] for p in key if p != pos) | guest_all
-        else:
-            new = frozenset(host_pos[p] for p in key)
-        host_edges[key] = new
-    guest_edges = {key: frozenset(guest_pos[p] for p in key)
+        new = frozenset(host_pos[p] for p in key if p != pos)
+        host_edges[key] = _key(new | guest_all if pos in key else new)
+    guest_edges = {key: _key(guest_pos[p] for p in key)
                    for key in edge_locs(e)}
 
     expected = set(host_edges.values()) | set(guest_edges.values()) | {guest_all}
@@ -933,12 +1014,13 @@ class Cut:
     graft: Graft          # graft(host, pos, outer), reproducing the original
 
 
-@lru_cache(maxsize=None)
+@scoped_memo(lambda d, key: d.leaves)
 def cut(d, key):
     """Sever the internal edge `key`, undoing `graft` at that edge.
 
-    Memoized like `graft`: the self-check below runs once per distinct
-    (d, key), and later calls return the same `Cut`.
+    Memoized like `graft`, filed under the leaf count of `d`: the
+    self-check below runs once per distinct (d, key), and later calls
+    return the same `Cut`.
     """
     loc = edge_locs(d)[key]
     if loc[0] == "thin":

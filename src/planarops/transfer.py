@@ -14,14 +14,16 @@ Both maps are multiplicative and intertwine the actions, so the image of
 a generator is `formal.evaluate` of its first decomposition step
 (`operad_c.decompose_corollas` for q, `operad_q.decompose_nonmetric` for
 p) with the memoized images of its children; the corollas and the fully
-metric generators are the leaves.
+metric generators are the leaves.  The images are `diagrams.scoped_memo`
+memos, filed by the leaf count of the generator's diagram, so a caller done
+with one leaf count can `release` it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import edges, fmt
+from .diagrams import edges, fmt, scoped_memo
 from .formal import FormalSum, evaluate
 from .operad_c import (
     compose_elements as compose_c_elements, c_generator, decompose_corollas,
@@ -44,7 +46,7 @@ def _q_corolla(diagram):
                      sorted(_reach(dmin(diagram), covers), key=fmt))
 
 
-@lru_cache(maxsize=None)
+@scoped_memo(lambda gen: gen.diagram.leaves)
 def _q_image(gen):
     """q of one generator; shared, and only read by `apply`."""
     return evaluate(decompose_corollas(gen), _q_image, _q_corolla,
@@ -57,7 +59,7 @@ def q_map(x):
     return x.apply(_q_image)
 
 
-@lru_cache(maxsize=None)
+@scoped_memo(lambda diagram: diagram.leaves)
 def _p_fullmetric(diagram):
     """p on the fully metric generator with +sorted orientation."""
     if positive_edges(dmin(diagram)) != frozenset(edges(diagram)):
@@ -68,7 +70,7 @@ def _p_fullmetric(diagram):
         s, diagram, omega_d, tree_path(tree, b))) for s, b in cells)
 
 
-@lru_cache(maxsize=None)
+@scoped_memo(lambda gen: gen.diagram.leaves)
 def _p_image(gen):
     """p of one generator; shared, and only read by `apply`."""
     return evaluate(decompose_nonmetric(gen), _p_image, _p_fullmetric,

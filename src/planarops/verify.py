@@ -18,7 +18,7 @@ from traceback import format_exc
 from .diagrams import (
     INNER, MODULE, TREE, DiagramError, ShapeClass, corolla_of, degree, edges,
     enumerate_class, fmt, inner_corolla, leaf_count, module_corolla, parse,
-    rotate180, shapes_up_to, tree_corolla,
+    release, rotate180, shapes_up_to, tree_corolla,
 )
 from .formal import unit
 from .operad_c import boundary_c, c_generator, c_unit, compose_c
@@ -156,11 +156,21 @@ def check_contractibility(cap):
                   "one vertex), 5 top squares over (2,0)" % (checked, cap))
 
 
+def _scoped_classes(cap):
+    """`shapes_up_to(cap)`, releasing the scoped memos of `cap` leaves
+    after each class of that size: later classes of that size share none of
+    its entries, and smaller ones never read them."""
+    for shape in shapes_up_to(cap):
+        yield shape
+        if leaf_count(corolla_of(shape)) == cap:
+            release(cap)
+
+
 def check_chain_maps(cap):
     """q and p commute with the boundaries on all generators."""
     cap = min(cap, 7)
     gens = 0
-    for shape in shapes_up_to(cap):
+    for shape in _scoped_classes(cap):
         for d in class_diagrams(shape):
             x = c_unit(d)
             if boundary_q(q_map(x)) != q_map(boundary_c(x)):
@@ -177,7 +187,7 @@ def check_chain_maps(cap):
 def check_projection_inverts_subdivision(cap):
     """pq = Id, and the two closed-form projection values."""
     cap = min(cap, 7)
-    for shape in shapes_up_to(cap):
+    for shape in _scoped_classes(cap):
         c = corolla_of(shape)
         got = p_map(q_unit(c, metric=()))
         if got != c_unit(dmin(c), orientation=xi(dmin(c))):

@@ -4,30 +4,16 @@ import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, THICK, THIN, TREE, ColorMismatch, DiagramError, ShapeClass,
-    canonical_colors, contract, cut, degree, edge_count, edge_locs, edges,
-    enumerate_class, expansions, fmt, fmt_edge, graft, inner_corolla,
-    leaf_count, module_corolla, parse, parse_edge, rotate180, shape_class,
-    tree_corolla,
+    canonical_colors, contract, corolla_of, cut, degree, edge_count,
+    edge_locs, edges, enumerate_class, expansions, fmt, fmt_edge, graft,
+    inner_corolla, leaf_count, module_corolla, parse, parse_edge, rotate180,
+    shape_class, shapes_up_to, tree_corolla,
 )
 from test_kernel_oracles import thick_positions
 
 
-def shapes_up_to(max_leaves):
-    out = []
-    for n in range(2, max_leaves + 1):
-        out.append(ShapeClass(TREE, (n,)))
-    for total in range(1, max_leaves):          # module: total thin leaves
-        for j in range(total + 1):
-            out.append(ShapeClass(MODULE, (j, total - j)))
-    for total in range(0, max_leaves - 1):      # inner: upper + lower leaves
-        for j in range(total + 1):
-            out.append(ShapeClass(INNER, (j, total - j)))
-    return [s for s in out
-            if leaf_count(__import__("planarops.diagrams", fromlist=["corolla_of"]).corolla_of(s)) <= max_leaves]
-
-
 def all_diagrams(shape):
-    c = __import__("planarops.diagrams", fromlist=["corolla_of"]).corolla_of(shape)
+    c = corolla_of(shape)
     out = []
     for deg in range(degree(c), -1, -1):
         out.extend(enumerate_class(shape, deg))
@@ -139,6 +125,32 @@ def test_edges_read_edge_locs_in_canonical_order():
     es.reverse()
     es.append(frozenset())
     assert edges(d) == sorted(edge_locs(d), key=sorted)
+
+
+def test_equal_edge_keys_are_one_object():
+    """Every edge key is built through one intern point: equal keys of
+    different diagrams, the keys a graft maps them to and a parsed key are
+    the same frozenset."""
+    shared = {}
+
+    def check(key):
+        assert shared.setdefault(key, key) is key, sorted(key)
+
+    cuts = 0
+    for shape in shapes_up_to(6):
+        for d in all_diagrams(shape):
+            n = leaf_count(d)
+            for key in edges(d):
+                check(key)
+                assert parse_edge(fmt_edge(key, n), n) is key
+            for key in edges(d):
+                g = cut(d, key).graft
+                assert g.new_edge is key
+                for value in (*g.host_edges.values(),
+                              *g.guest_edges.values()):
+                    check(value)
+                cuts += 1
+    assert len(shared) == 34 and cuts == 8251
 
 
 # --- contraction / expansion ------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 
 from planarops import endo, operad_c, orientations, perms, transfer, verify
 from planarops.diagrams import (
-    INNER, MODULE, TREE, ShapeClass, degree, edges, enumerate_class,
-    leaf_count,
+    INNER, MODULE, TREE, ShapeClass, cut, degree, edges, enumerate_class,
+    graft, leaf_count,
 )
 
 
@@ -35,6 +35,19 @@ def test_run_suite_keeps_the_traceback_of_a_crash(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith(result.line().split("[")[0])
     assert 'raise KeyError("lost generator")' in out
+
+
+def test_chain_maps_release_the_memos_of_the_largest_classes(fresh_caches):
+    scoped = {graft: [3, 4], cut: [3, 4], transfer._q_image: [2, 3, 4],
+              transfer._p_image: [2, 3, 4], transfer._p_fullmetric: [2, 3, 4]}
+    assert verify.check_chain_maps(5) == (
+        True, "both maps on every generator up to 5 leaves (2558 cubical)")
+    for memo, sizes in scoped.items():
+        assert memo.sizes() == sizes, memo.__name__
+        assert memo.cache_info().currsize > 0
+    fresh_caches()
+    for memo in scoped:
+        assert memo.sizes() == [] and memo.cache_info().currsize == 0
 
 
 def test_flipped_composition_sign_fails_chain_maps(monkeypatch, fresh_caches):
