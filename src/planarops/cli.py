@@ -9,10 +9,10 @@ with the diagram grammar of the library, a space-separated permutation (or
 metric section only meaningful for cubical generators (it defaults to every
 edge).  All commands accept ``--format json``.  ``minmax`` and ``leq`` print
 the cover digraph of the shape class, and ``homology`` its boundary complex,
-as DOT with ``--dot``.  The commands that build a whole shape class
-(``enumerate``, ``qmap``, ``pmap``, ``diagonal``, ``homology`` and every
-``--dot`` output) refuse one of more than ``diagrams.SIZE_CAP`` leaves with
-exit code 2.
+as DOT with ``--dot``; ``--dot`` with ``--format json`` exits with code 2.
+The commands that build a whole shape class (``enumerate``, ``qmap``,
+``pmap``, ``diagonal``, ``homology`` and every ``--dot`` output) refuse one
+of more than ``diagrams.SIZE_CAP`` leaves with exit code 2.
 """
 
 from __future__ import annotations
@@ -406,6 +406,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "dot", False) and args.format == "json":
+            raise ValueError("--dot prints DOT; it takes no --format json")
         code = args.fn(args)
     except BrokenPipeError:
         # the reader went away (`planarops ... | head`): exit quietly as

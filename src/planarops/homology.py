@@ -3,11 +3,18 @@
 Each shape class carries two cell complexes: the chain complex whose
 degree-d cells are the diagrams with d fewer edges than a binary one, and
 its cubical refinement whose cells are diagrams with a subset of edges
-marked metric, graded by the number of metric edges.  Boundary matrices are
-assembled from the operad differentials one cell at a time: each column is
-read from the boundary of its cell (`operad_c.boundary_c_image`,
-`operad_q.boundary_q_image`), the same per-generator image that
-`boundary_c` and `boundary_q` extend linearly.
+marked metric, graded by the number of metric edges.  Both list their cells
+in one order (`cell_generators`).
+
+The chain complex's boundary matrices are read one column at a time from
+the boundary of its cell, `operad_c.boundary_c_image`.  The cubical ones
+are built on integer cells (`_cubical_complex`): a cell is its diagram's
+number shifted left, OR the bitmask of its metric edges, one bit per edge
+key of the class in canonical order.  A diagram's contractions D/e are read
+from the `expansions` that `enumerate_class` walked, so each column
+`sum_j (-1)^j [(D/e_j, M - e_j) - (D, M - e_j)]` is a few integer
+operations and dictionary lookups; `operad_q.boundary_q_image`, the
+operad's boundary of one generator, is the oracle it is tested against.
 
 `collapse` removes each face whose only living coface meets it with
 coefficient +-1 together with that coface (an elementary collapse, Forman
@@ -25,7 +32,8 @@ from itertools import combinations
 from math import gcd
 
 from .diagrams import (
-    check_size_cap, corolla_of, degree, edges, enumerate_class, leaf_count,
+    check_size_cap, corolla_of, degree, edges, enumerate_class, expansions,
+    leaf_count,
 )
 from .operad_c import boundary_c_image, c_generator
 from .operad_q import QGenerator, boundary_q_image
@@ -75,26 +83,81 @@ def sparse_rank(rows):
     return len(pivots)
 
 
+def _cubical_layers(shape, edges_of, cell):
+    """The cells of the cubical complex by degree, each `cell(diagram, m)`
+    for `m` in `combinations(edges_of(diagram), r)`: by the diagram's
+    degree, then the diagram in construction order, then the combinations.
+    Both the generators and the integer cells are listed by this walk;
+    its callers hold the size cap."""
+    top = degree(corolla_of(shape))
+    layers = [[] for _ in range(top + 1)]
+    for k in range(top + 1):
+        for dia in enumerate_class(shape, k):
+            es = edges_of(dia)
+            for r in range(len(es) + 1):
+                layers[r] += (cell(dia, m) for m in combinations(es, r))
+    return layers
+
+
 def cell_generators(shape, which):
     """The cells of the chain ("c") or cubical ("q") complex as generators,
     by degree in construction order, and the boundary of one cell
     (`boundary_c_image` or `boundary_q_image`)."""
     check_size_cap(shape)
-    top = degree(corolla_of(shape))
     if which == "c":
+        top = degree(corolla_of(shape))
         return ([[c_generator(d)[0] for d in enumerate_class(shape, k)]
                  for k in range(top + 1)], boundary_c_image)
     # combinations of edges(dia) keep its order, the canonical order of a
     # metric, so each cell is its generator with sign +1
-    layers = [[] for _ in range(top + 1)]
     identity = perms.identity(leaf_count(corolla_of(shape)))
-    for k in range(top + 1):
-        for dia in enumerate_class(shape, k):
-            es = edges(dia)
-            for r in range(len(es) + 1):
-                layers[r] += (QGenerator(dia, identity, m)
-                              for m in combinations(es, r))
+    layers = _cubical_layers(shape, edges,
+                             lambda dia, m: QGenerator(dia, identity, m))
     return layers, boundary_q_image
+
+
+def _cubical_complex(shape):
+    """The cubical complex on integer cells: (its cells by degree, its
+    boundary matrices as `_boundary_rows` builds them).
+
+    Diagram i of the class is `i << nbits`, and the edge key of rank r in
+    canonical order is the bit `1 << r`, so the cell (D, M) is D's number
+    OR the bits of M, and `e_j` is the j-th set bit of M.  The cells come
+    in the order of `cell_generators`, and each matrix equals
+    `_boundary_rows` of its generators entry for entry."""
+    check_size_cap(shape)
+    top = degree(corolla_of(shape))
+    by_degree = [enumerate_class(shape, k) for k in range(top + 1)]
+    dias = [d for layer in by_degree for d in layer]
+    keys = sorted({e for d in dias for e in edges(d)}, key=sorted)
+    nbits = len(keys)
+    bit = {e: 1 << r for r, e in enumerate(keys)}
+    number = {d: i << nbits for i, d in enumerate(dias)}
+    # faces[i]: the (bit of e, number of D/e) of diagram i, by bit; the
+    # expansions (D', e') of X are the D' with D'/e' = X
+    faces = [[] for _ in dias]
+    for layer in by_degree[1:]:
+        for x in layer:
+            for d2, e2 in expansions(x):
+                faces[number[d2] >> nbits].append((bit[e2], number[x]))
+    for listed in faces:
+        listed.sort()
+    layers = _cubical_layers(shape, lambda dia: [bit[e] for e in edges(dia)],
+                             lambda dia, m: sum(m, number[dia]))
+    mask = (1 << nbits) - 1
+    matrices = []
+    for low, high in zip(layers, layers[1:]):
+        index = {c: i for i, c in enumerate(low)}
+        rows = [{} for _ in low]
+        for j, c in enumerate(high):
+            m, sign = c & mask, -1
+            for b, face in faces[c >> nbits]:
+                if m & b:
+                    rows[index[face | (m ^ b)]][j] = sign
+                    rows[index[c ^ b]][j] = -sign
+                    sign = -sign
+        matrices.append(rows)
+    return layers, matrices
 
 
 def _boundary_rows(gens_low, gens_high, image):
@@ -158,12 +221,15 @@ def collapsed_betti(f_vector, matrices):
 
 
 def homology_report(shape, which):
-    keyed, image = cell_generators(shape, which)
-    f_vector = tuple(len(layer) for layer in keyed)
+    if which == "c":
+        layers, image = cell_generators(shape, which)
+        matrices = [_boundary_rows(layers[d - 1], layers[d], image)
+                    for d in range(1, len(layers))]
+    else:
+        layers, matrices = _cubical_complex(shape)
+    f_vector = tuple(len(layer) for layer in layers)
     euler = sum((-1) ** d * f for d, f in enumerate(f_vector))
-    critical, betti = collapsed_betti(f_vector, [
-        _boundary_rows(keyed[d - 1], keyed[d], image)
-        for d in range(1, len(keyed))])
+    critical, betti = collapsed_betti(f_vector, matrices)
     return ComplexReport(shape, which, f_vector, betti, euler, critical)
 
 

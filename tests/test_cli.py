@@ -157,6 +157,18 @@ def test_minmax_dot(capsys):
     assert "move 1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["minmax", "(* * *)"], ["leq", "((* *) *)", "(* (* *))"],
+    ["homology", "I2,0"], ["homology", "I2,0", "--q"],
+])
+def test_dot_refuses_json(capsys, argv):
+    assert main(argv + ["--dot", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: --dot prints DOT; it takes no --format json\n"
+
+
 def test_tensor_ainf(capsys, tmp_path):
     from pathlib import Path
     fx = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from planarops.diagrams import INNER, MODULE, TREE, ShapeClass, shapes_up_to
 from planarops.homology import (
-    ComplexReport, collapse, collapsed_betti, homology_report,
-    is_contractible, sparse_rank,
+    ComplexReport, _boundary_rows, _cubical_complex, cell_generators,
+    collapse, collapsed_betti, homology_report, is_contractible, sparse_rank,
 )
 
 
@@ -86,6 +86,20 @@ def test_small_classes_contractible():
             rep = homology_report(shape, which)
             assert is_contractible(rep), (shape, which, rep.critical)
             assert rep.euler == 1
+
+
+def test_cubical_matrices_match_the_operad_boundary():
+    # the integer-cell matrices against boundary_q_image of every cell
+    # generator: same rows, columns and coefficients, every class up to 6
+    # leaves
+    for shape in shapes_up_to(6):
+        layers, matrices = _cubical_complex(shape)
+        gens, image = cell_generators(shape, "q")
+        f_vector = tuple(len(layer) for layer in gens)
+        assert tuple(len(layer) for layer in layers) == f_vector
+        assert homology_report(shape, "q").f_vector == f_vector
+        assert matrices == [_boundary_rows(gens[d - 1], gens[d], image)
+                            for d in range(1, len(gens))], shape
 
 
 @given(matrices())

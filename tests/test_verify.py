@@ -266,6 +266,102 @@ def test_c_tensor_boundary_koszul_sign_is_load_bearing(monkeypatch,
     assert "delta_c is not a chain map" in detail
 
 
+def _c_tensor_compose_with(koszul):
+    """diagonal.c_tensor_compose with its Koszul sign given by
+    `koszul(exponent)`."""
+    from planarops import diagonal
+    from planarops.formal import bilinear
+
+    def c_tensor_compose(x, i, y):
+        def term(ab, uv):
+            (a, b), (u, v) = ab, uv
+            sign = koszul(degree(b.diagram) * degree(u.diagram))
+            return bilinear(operad_c.compose_c(a, i, u),
+                            operad_c.compose_c(b, i, v),
+                            diagonal._pair).scale(sign)
+        return bilinear(x, y, term)
+    return c_tensor_compose
+
+
+def test_c_tensor_compose_copy_matches_c_tensor_compose():
+    # the mutant below drops the Koszul sign from this same copy
+    from planarops import diagonal
+    from planarops.diagrams import tree_corolla
+    copied = _c_tensor_compose_with(lambda n: (-1) ** n)
+    unsigned = _c_tensor_compose_with(lambda n: 1)
+    x = diagonal.delta_c(operad_c.c_unit(tree_corolla(3)))
+    seen_sign = False
+    for i in (1, 2, 3):
+        real = diagonal.c_tensor_compose(x, i, x)
+        assert copied(x, i, x) == real
+        seen_sign |= unsigned(x, i, x) != real
+    assert seen_sign
+
+
+def test_c_tensor_compose_koszul_sign_is_load_bearing(monkeypatch,
+                                                      fresh_caches):
+    # mutation check: delta_c composes its corollas' images with the Koszul
+    # sign of the tensor composition; without it delta_c leaves the
+    # composite p (x) p . Delta . q within 5 leaves
+    from planarops import diagonal
+    monkeypatch.setattr(diagonal, "c_tensor_compose",
+                        _c_tensor_compose_with(lambda n: 1))
+    ok, detail = verify.check_diagonal(5)
+    assert not ok
+    assert "delta_c is not the composite" in detail
+
+
+def _compose_c_with(eps):
+    """operad_c.compose_c with its sign exponent given by
+    `eps(i, k, l, degree of y)`."""
+    from planarops.diagrams import labeled_graft
+    from planarops.formal import FormalSum, unit
+    from planarops.orientations import graft_wedge
+
+    def compose_c(x, i, y):
+        grafted = labeled_graft(x, i, y)
+        if grafted is None:
+            return FormalSum()
+        g, perm = grafted
+        o = graft_wedge(g, x.keys, y.keys, True)
+        k, l = leaf_count(x.diagram), leaf_count(y.diagram)
+        sign = (-1) ** eps(i, k, l, degree(y.diagram)) * o.sign
+        return unit(operad_c.CGenerator(g.diagram, perm, o.keys), sign)
+    return compose_c
+
+
+def test_compose_c_copy_matches_compose_c():
+    # the mutant below drops the k * degree(y) term from this same copy
+    copied = _compose_c_with(lambda i, k, l, dy: i * (l + 1) + k * dy)
+    mutant = _compose_c_with(lambda i, k, l, dy: i * (l + 1))
+    seen_sign = False
+    for x in _c_generators(ShapeClass(TREE, (3,)), ShapeClass(MODULE, (1, 1))):
+        for y in _c_generators(ShapeClass(TREE, (3,)),
+                               ShapeClass(INNER, (1, 0))):
+            for i in range(1, leaf_count(x.diagram) + 1):
+                real = operad_c.compose_c(x, i, y)
+                assert copied(x, i, y) == real
+                seen_sign |= mutant(x, i, y) != real
+    assert seen_sign
+
+
+def _c_generators(*shapes):
+    return [operad_c.c_generator(d)[0] for shape in shapes
+            for k in range(3) for d in enumerate_class(shape, k)]
+
+
+def test_compose_c_eps_is_load_bearing(monkeypatch, fresh_caches):
+    # mutation check: compose_c without the k * degree(y) term of its sign
+    # must fail the diagonal check within 5 leaves
+    from planarops import diagonal
+    mutant = _compose_c_with(lambda i, k, l, dy: i * (l + 1))
+    for module in (operad_c, diagonal, verify):
+        monkeypatch.setattr(module, "compose_c", mutant)
+    ok, detail = verify.check_diagonal(5)
+    assert not ok
+    assert "delta_c is not the composite" in detail
+
+
 def _compose_at_with(koszul):
     """endo.compose_at with its Koszul sign given by `koszul(exponent)`."""
     from planarops.endo import MultiMap
