@@ -11,8 +11,9 @@ edge).  All commands accept ``--format json``.  ``minmax`` and ``leq`` print
 the cover digraph of the shape class, and ``homology`` its boundary complex,
 as DOT with ``--dot``; ``--dot`` with ``--format json`` exits with code 2.
 The commands that build a whole shape class (``enumerate``, ``qmap``,
-``pmap``, ``diagonal``, ``homology`` and every ``--dot`` output) refuse one
-of more than ``diagrams.SIZE_CAP`` leaves with exit code 2.
+``pmap``, ``diagonal``, ``homology``, ``tensor-ainf`` and every ``--dot``
+output) refuse one of more than ``diagrams.SIZE_CAP`` leaves with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -278,13 +279,17 @@ def cmd_homology(args):
 
 
 def cmd_tensor_ainf(args):
-    from .endo import (load_structures, residual_a_infinity, tensor_structure)
+    from .endo import load_structures, residual, tensor_structure
+    if args.arity < 2:
+        raise ValueError("the multiplication relation starts at arity 2")
+    shape = ShapeClass(TREE, (args.arity,))
+    check_size_cap(shape)
     sa = load_structures(args.fixture_a)
     sb = load_structures(args.fixture_b)
-    pair = tensor_structure(sa, sb, max_mu=max(args.arity, 2), max_inner=1)
-    residual = residual_a_infinity(pair, args.arity)
-    ok = not residual
-    entries = len({args for args, _ in residual.terms})
+    pair = tensor_structure(sa, sb, max_mu=args.arity, max_inner=1)
+    defect = residual(pair, shape)
+    ok = not defect
+    entries = len({args for args, _ in defect.terms})
     if args.format == "json":
         print(json.dumps({"arity": args.arity, "residual_zero": ok,
                           "entries": entries}))

@@ -24,7 +24,7 @@ from .diagrams import (
     INNER, MODULE, TREE, ShapeClass, corolla_of, shape_class, shapes_up_to,
 )
 from .formal import FormalSum, evaluate
-from .operad_c import decompose_corollas
+from .operad_c import boundary_c, c_unit, decompose_corollas
 from . import perms
 
 
@@ -247,103 +247,32 @@ def eval_element(x, structures):
     return x.apply(lambda gen: eval_generator(gen, structures))
 
 
-# ---------------------------------------------------------------------------
-# structure relations (direct transcriptions, independent of eval_generator)
-#
-# Each relation is [d, m] minus the insertions of a structure map into
-# another: the block i..i+j-1 of the k inputs goes through an arity-j map
-# and the result into slot i of an arity-ell map, ell = k+1-j, with the
-# sign (-1)^(i(j+1) + j*ell).  `_insertions` is that sum; a relation only
-# says which two maps meet.  In the bimodule and inner relations the block
-# that covers the module slot is a lambda, any other block a mu.  The
-# inner relation also inserts a lambda at its first slot after rotating
-# inputs round the pairing; that half is written out on its own.
-
-def _insertions(total, k, first, pick):
-    """Subtract the signed insertions at slots first..ell from `total`, a
-    map the caller built, in place; `pick(i, j, ell)` gives (outer, inner)."""
-    for j in range(2, k):
-        ell = k + 1 - j
-        for i in range(first, ell + 1):
-            outer, inner = pick(i, j, ell)
-            total.add(compose_at(outer, i, inner),
-                      -neg_one_pow(i * (j + 1) + j * ell))
-    return total
-
-
-def _module_slot_pick(s, outer_map, first, kp, kpp):
-    """The (outer, inner) pair of the bimodule relation (`outer_map` is
-    lambda, `first` 1) or of the inner relation away from its first slot
-    (rho, 2); the module slot is kp+first."""
-    slot = kp + first
-
-    def pick(i, j, ell):
-        if i <= slot < i + j:
-            return (outer_map(i - first, ell - i),
-                    s.lam_map(slot - i, i + j - 1 - slot))
-        if i + j - 1 < slot:
-            return outer_map(kp - j + 1, kpp), s.mu_map(j)
-        return outer_map(kp, kpp - j + 1), s.mu_map(j)
-    return pick
-
-
-def residual_a_infinity(structures, k):
-    """Defect of the multiplication relation at arity k."""
-    if k < 2:
-        raise StructureError("the multiplication relation starts at arity 2")
+def residual(structures, shape):
+    """The defect of the structure relation at `shape`: [d, m] minus the
+    evaluated boundary of the corolla, m its structure map.  A structure
+    set is a dg map out of the chain operad exactly when every residual
+    is zero."""
     s = structures
-    return _insertions(commutator(s.d, s.mu_map(k)), k, 1,
-                       lambda i, j, ell: (s.mu_map(ell), s.mu_map(j)))
+    return commutator(s.d, s.op(shape)) - eval_element(
+        boundary_c(c_unit(corolla_of(shape))), s)
 
 
-def residual_bimodule(structures, kp, kpp):
-    """Defect of the bimodule relation at (kp, kpp); module slot kp+1."""
-    s = structures
-    return _insertions(commutator(s.d, s.lam_map(kp, kpp)), kp + kpp + 1, 1,
-                       _module_slot_pick(s, s.lam_map, 1, kp, kpp))
-
-
-def residual_inner(structures, kp, kpp):
-    """Defect of the homotopy-inner-product relation at (kp, kpp)."""
-    s = structures
-    k = kp + kpp + 2
-    total = commutator(s.d, s.rho_map(kp, kpp))
-    # compositions at the first module slot, then jp inputs rotated from
-    # the back round to the front of the pairing
-    for jp in range(0, kpp + 1):
-        for jpp in range(0, kp + 1):
-            if jp + jpp < 1:
-                continue
-            j = jp + jpp + 1
-            ell = k - jp - jpp
-            outer = s.rho_map(kp - jpp, kpp - jp)
-            term = sigma_sharp(compose_at(outer, 1, s.lam_map(jp, jpp)),
-                               perms.rotation(k, -jp))
-            total.add(term,
-                      -neg_one_pow((j + 1) + j * ell + jp * (jpp + ell)))
-    return _insertions(total, k, 2,
-                       _module_slot_pick(s, s.rho_map, 2, kp, kpp))
+# the error text of a failed relation, by the kind of its corolla
+_RELATION = {TREE: "multiplication relation fails at %d",
+             MODULE: "bimodule relation fails at (%d,%d)",
+             INNER: "pairing relation fails at (%d,%d)"}
 
 
 def validate_structures(structures):
-    """Run the relation checkers up to mu_4 and inner arity 2; raises when
-    any defect is nonzero."""
+    """Check d^2 = 0 and the structure relation on every shape class up to
+    four leaves; raises when any defect is nonzero."""
     s = structures
-    square = compose_at(s.d, 1, s.d)
-    if square:
+    if compose_at(s.d, 1, s.d):
         raise StructureError("d^2 != 0 in %s" % s.name)
-    for k in range(2, 5):
-        if residual_a_infinity(s, k):
-            raise StructureError("multiplication relation fails at %d in %s"
-                                 % (k, s.name))
-    for j in range(3):
-        for k in range(3 - j):
-            if j + k >= 1 and residual_bimodule(s, j, k):
-                raise StructureError("bimodule relation fails at (%d,%d) in %s"
-                                     % (j, k, s.name))
-            if residual_inner(s, j, k):
-                raise StructureError("pairing relation fails at (%d,%d) in %s"
-                                     % (j, k, s.name))
+    for shape in shapes_up_to(4):
+        if residual(s, shape):
+            raise StructureError("%s in %s" % (
+                _RELATION[shape.kind] % shape.params, s.name))
     return structures
 
 
@@ -397,7 +326,6 @@ def pair_evaluate(tensor_elem, sa, sb):
 def tensor_structure(sa, sb, max_mu=3, max_inner=2):
     """The structure induced on A (x) B through the chain diagonal."""
     from .diagonal import delta_c
-    from .operad_c import c_unit
 
     ma, mb = sa.module, sb.module
     d = (tensor_maps(sa.d, identity_map(mb))

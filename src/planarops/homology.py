@@ -14,7 +14,9 @@ key of the class in canonical order.  A diagram's contractions D/e are read
 from the `expansions` that `enumerate_class` walked, so each column
 `sum_j (-1)^j [(D/e_j, M - e_j) - (D, M - e_j)]` is a few integer
 operations and dictionary lookups; `operad_q.boundary_q_image`, the
-operad's boundary of one generator, is the oracle it is tested against.
+operad's boundary of one generator, is the oracle it is tested against,
+and `homology_report` checks that each column holds 2d entries summing
+to 0 (`check_cube_columns`).
 
 `collapse` removes each face whose only living coface meets it with
 coefficient +-1 together with that coface (an elementary collapse, Forman
@@ -32,8 +34,8 @@ from itertools import combinations
 from math import gcd
 
 from .diagrams import (
-    check_size_cap, corolla_of, degree, edges, enumerate_class, expansions,
-    leaf_count,
+    DiagramError, check_size_cap, corolla_of, degree, edges, enumerate_class,
+    expansions, leaf_count,
 )
 from .operad_c import boundary_c_image, c_generator
 from .operad_q import QGenerator, boundary_q_image
@@ -160,6 +162,22 @@ def _cubical_complex(shape):
     return layers, matrices
 
 
+def check_cube_columns(layers, matrices):
+    """Raise DiagramError unless each column of the degree-d matrix has 2d
+    entries summing to 0: a cube's boundary pairs (D/e, M - e) with
+    (D, M - e), of opposite signs, for each metric edge e.  A flipped or
+    dropped face fails here, where `d o d = 0` would not see it."""
+    for d, rows in enumerate(matrices, 1):
+        count, total = [0] * len(layers[d]), [0] * len(layers[d])
+        for row in rows:
+            for j, v in row.items():
+                count[j] += 1
+                total[j] += v
+        if any(n != 2 * d for n in count) or any(total):
+            raise DiagramError("a degree-%d cubical boundary column does not "
+                               "have %d entries summing to 0" % (d, 2 * d))
+
+
 def _boundary_rows(gens_low, gens_high, image):
     """The boundary matrix from the cells `gens_high` to `gens_low`, one
     row {column: coefficient} per cell of `gens_low`.  Column j holds the
@@ -227,6 +245,7 @@ def homology_report(shape, which):
                     for d in range(1, len(layers))]
     else:
         layers, matrices = _cubical_complex(shape)
+        check_cube_columns(layers, matrices)
     f_vector = tuple(len(layer) for layer in layers)
     euler = sum((-1) ** d * f for d, f in enumerate(f_vector))
     critical, betti = collapsed_betti(f_vector, matrices)

@@ -446,7 +446,7 @@ def check_endomorphisms(cap):
     the degree-two pairing homotopy identity."""
     from .endo import (
         MultiMap, commutator, compose_at, eval_element, eval_generator,
-        load_structures, neg_one_pow, pair_evaluate, residual_inner,
+        load_structures, neg_one_pow, pair_evaluate, residual,
         tensor_module, tensor_structure,
     )
     fixtures = Path(__file__).parent / "fixtures"
@@ -521,7 +521,7 @@ def check_endomorphisms(cap):
                 if psi_dx != commutator(d_pair, psi_x):
                     return False, "tensor evaluation chain relation at %s" \
                         % fmt(dia)
-        if residual_inner(pair, 2, 0):
+        if residual(pair, ShapeClass(INNER, (2, 0))):
             return False, "degree-two pairing identity fails"
     # each fixture pairing above has two_term or mu3, whose mu_2 is zero,
     # as a factor; a seeded random pairing with odd elements on both sides

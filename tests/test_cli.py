@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,7 +116,11 @@ def _corolla(n, metric=False):
     return "((%s) ; id ; []%s)" % (" ".join("*" * n), " ; metric:[]" * metric)
 
 
-# each of these once ran past a minute
+FIXTURES = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"
+
+
+# each of these once ran past a minute, or (tensor-ainf at arity 9) took
+# 50 s and 928 MB
 @pytest.mark.parametrize("argv", [
     ["enumerate", "T30", "1"], ["enumerate", "I8,8", "1"],
     ["enumerate", "T9", "0", "--format", "json"],
@@ -124,6 +129,8 @@ def _corolla(n, metric=False):
     ["minmax", _right_comb(20), "--dot"],
     ["leq", _right_comb(20), _right_comb(20), "--dot"],
     ["leq", _right_comb(20), _right_comb(20)],
+    ["tensor-ainf", str(FIXTURES / "frobenius.json"),
+     str(FIXTURES / "two_term.json"), "--arity", "9"],
 ])
 def test_size_cap_holds_on_every_class_builder(capsys, argv):
     assert main(argv) == 2

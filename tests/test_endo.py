@@ -15,10 +15,10 @@ from planarops.diagonal import delta_c
 from planarops.endo import (
     GradedModule, MultiMap, StructureError, StructureSet, commutator,
     compose_at, eval_element, eval_generator, load_structures, map_type,
-    pair_evaluate, precompose_differential, residual_a_infinity,
-    residual_bimodule, residual_inner, sigma_sharp, structures_from_dict,
-    tensor_structure, validate_structures,
+    neg_one_pow, pair_evaluate, precompose_differential, residual,
+    sigma_sharp, structures_from_dict, tensor_structure, validate_structures,
 )
+from planarops import perms
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src/planarops/fixtures"
 
@@ -194,23 +194,35 @@ def test_eval_respects_the_action():
 
 # --- structure relations ------------------------------------------------------
 
+def mu(k):
+    return ShapeClass(TREE, (k,))
+
+
+def lam(j, k):
+    return ShapeClass(MODULE, (j, k))
+
+
+def rho(j, k):
+    return ShapeClass(INNER, (j, k))
+
+
 def test_associative_fixture_residuals_vanish():
     s = fixture("frobenius")
     for k in range(2, 6):
-        assert not residual_a_infinity(s, k)
+        assert not residual(s, mu(k))
 
 
 def test_mu3_fixture_residuals_vanish():
     s = fixture("mu3")
     for k in range(2, 6):
-        assert not residual_a_infinity(s, k)
+        assert not residual(s, mu(k))
 
 
 def test_two_term_fixture_residuals_vanish():
     s = fixture("two_term")
     for k in range(2, 6):
-        assert not residual_a_infinity(s, k)
-    assert not residual_inner(s, 0, 0)
+        assert not residual(s, mu(k))
+    assert not residual(s, rho(0, 0))
 
 
 def test_random_structures_fail_residuals():
@@ -218,7 +230,7 @@ def test_random_structures_fail_residuals():
     failures = 0
     for _ in range(10):
         s = random_structures(rng, (0, 1), max_mu=3)
-        if residual_a_infinity(s, 3):
+        if residual(s, mu(3)):
             failures += 1
     assert failures >= 8
 
@@ -229,15 +241,106 @@ def test_fixture_validation_rejects_broken_pairing():
         data = json.load(fh)
     data["rho"]["0,0"][1][1] = "1"      # break the sign choice
     s = structures_from_dict(data)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError,
+                       match=r"^pairing relation fails at \(0,0\) in "
+                             r"two_term$"):
         validate_structures(s)
 
 
-# --- the relations against the evaluator ---------------------------------------
+def test_commutator_sign_is_load_bearing(monkeypatch):
+    # mutation check: [D, f] = d o f + (-1)^{|f|} f o d must fail the
+    # multiplication relation of the Heisenberg fixture, whose d meets mu_2
+    from planarops import endo
+    signed = endo.commutator
+
+    def flipped(d, f):
+        return signed(d, f).add(precompose_differential(f, d),
+                                2 * neg_one_pow(f.degree))
+    monkeypatch.setattr(endo, "commutator", flipped)
+    with pytest.raises(StructureError,
+                       match="^multiplication relation fails at 2 in "
+                             "heisenberg$"):
+        fixture("heisenberg")
+
+
+# --- the paper-form relations against the evaluator -------------------------
 #
-# A residual is [d, m] minus the evaluated boundary of m's corolla, whatever
-# the structure constants: the transcriptions of the relations and the
+# The structure relations transcribed from the paper, independent of
+# eval_generator.  Each is [d, m] minus the insertions of a structure map
+# into another: the block i..i+j-1 of the k inputs goes through an arity-j
+# map and the result into slot i of an arity-ell map, ell = k+1-j, with the
+# sign (-1)^(i(j+1) + j*ell).  `_insertions` is that sum; a relation only
+# says which two maps meet.  In the bimodule and inner relations the block
+# that covers the module slot is a lambda, any other block a mu.  The inner
+# relation also inserts a lambda at its first slot after rotating inputs
+# round the pairing; that half is written out on its own.  Each has to
+# equal `endo.residual`, [d, m] minus the evaluated boundary of m's
+# corolla, whatever the structure constants: the transcriptions and the
 # decomposition of a one-edge diagram have to agree on every sign.
+
+def _insertions(total, k, first, pick):
+    """Subtract the signed insertions at slots first..ell from `total`, a
+    map the caller built, in place; `pick(i, j, ell)` gives (outer, inner)."""
+    for j in range(2, k):
+        ell = k + 1 - j
+        for i in range(first, ell + 1):
+            outer, inner = pick(i, j, ell)
+            total.add(compose_at(outer, i, inner),
+                      -neg_one_pow(i * (j + 1) + j * ell))
+    return total
+
+
+def _module_slot_pick(s, outer_map, first, kp, kpp):
+    """The (outer, inner) pair of the bimodule relation (`outer_map` is
+    lambda, `first` 1) or of the inner relation away from its first slot
+    (rho, 2); the module slot is kp+first."""
+    slot = kp + first
+
+    def pick(i, j, ell):
+        if i <= slot < i + j:
+            return (outer_map(i - first, ell - i),
+                    s.lam_map(slot - i, i + j - 1 - slot))
+        if i + j - 1 < slot:
+            return outer_map(kp - j + 1, kpp), s.mu_map(j)
+        return outer_map(kp, kpp - j + 1), s.mu_map(j)
+    return pick
+
+
+def residual_a_infinity(structures, k):
+    """Defect of the multiplication relation at arity k."""
+    s = structures
+    return _insertions(commutator(s.d, s.mu_map(k)), k, 1,
+                       lambda i, j, ell: (s.mu_map(ell), s.mu_map(j)))
+
+
+def residual_bimodule(structures, kp, kpp):
+    """Defect of the bimodule relation at (kp, kpp); module slot kp+1."""
+    s = structures
+    return _insertions(commutator(s.d, s.lam_map(kp, kpp)), kp + kpp + 1, 1,
+                       _module_slot_pick(s, s.lam_map, 1, kp, kpp))
+
+
+def residual_inner(structures, kp, kpp):
+    """Defect of the homotopy-inner-product relation at (kp, kpp)."""
+    s = structures
+    k = kp + kpp + 2
+    total = commutator(s.d, s.rho_map(kp, kpp))
+    # compositions at the first module slot, then jp inputs rotated from
+    # the back round to the front of the pairing
+    for jp in range(0, kpp + 1):
+        for jpp in range(0, kp + 1):
+            if jp + jpp < 1:
+                continue
+            j = jp + jpp + 1
+            ell = k - jp - jpp
+            outer = s.rho_map(kp - jpp, kpp - jp)
+            term = sigma_sharp(compose_at(outer, 1, s.lam_map(jp, jpp)),
+                               perms.rotation(k, -jp))
+            total.add(term,
+                      -neg_one_pow((j + 1) + j * ell + jp * (jpp + ell)))
+    return _insertions(total, k, 2,
+                       _module_slot_pick(s, s.rho_map, 2, kp, kpp))
+
 
 RELATION_SHAPES = (
     [ShapeClass(TREE, (n,)) for n in range(2, 6)]
@@ -269,14 +372,12 @@ def relation_structures(seed, count=4):
 
 
 def relation_mismatches(structures):
-    """The (structure, shape) pairs whose residual is not [d, m] minus the
-    evaluated boundary of the corolla."""
+    """The (structure, shape) pairs whose paper-form residual is not
+    `endo.residual`."""
     bad = []
     for n, s in enumerate(structures):
         for shape in RELATION_SHAPES:
-            expected = commutator(s.d, s.op(shape)) - eval_element(
-                boundary_c(c_unit(corolla_of(shape))), s)
-            if RESIDUALS[shape.kind](s, *shape.params) != expected:
+            if RESIDUALS[shape.kind](s, *shape.params) != residual(s, shape):
                 bad.append((n, shape))
     return bad
 
@@ -289,15 +390,15 @@ def test_residuals_match_the_evaluated_boundary(seed):
 def test_insertion_sign_is_load_bearing(monkeypatch):
     # mutation check: the shared insertion loop with its sign dropped (each
     # term scaled by that sign once more) must fail the cross-check
-    from planarops import endo
-    insertions = endo._insertions
+    import sys
+    insertions = _insertions
 
     def unsigned(total, k, first, pick):
         def resigned(i, j, ell):
             outer, inner = pick(i, j, ell)
-            return outer.scale(endo.neg_one_pow(i * (j + 1) + j * ell)), inner
+            return outer.scale(neg_one_pow(i * (j + 1) + j * ell)), inner
         return insertions(total, k, first, resigned)
-    monkeypatch.setattr(endo, "_insertions", unsigned)
+    monkeypatch.setattr(sys.modules[__name__], "_insertions", unsigned)
     bad = relation_mismatches(relation_structures(5))
     assert {n for n, _shape in bad} == {0, 1, 2, 3}
     assert {shape.kind for _n, shape in bad} == {TREE, MODULE, INNER}
@@ -386,17 +487,17 @@ def test_tensor_structure_satisfies_relations():
     sa, sb = fixture("frobenius"), fixture("two_term")
     pair = tensor_structure(sa, sb, max_mu=4, max_inner=2)
     for k in range(2, 5):
-        assert not residual_a_infinity(pair, k)
+        assert not residual(pair, mu(k))
     for j, k in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-        assert not residual_bimodule(pair, j, k)
+        assert not residual(pair, lam(j, k))
     for j, k in [(0, 0), (1, 0), (0, 1)]:
-        assert not residual_inner(pair, j, k)
+        assert not residual(pair, rho(j, k))
 
 
 def test_rho20_identity_on_fixture_pairings():
     for a, b in [("frobenius", "frobenius"), ("two_term", "frobenius")]:
         pair = tensor_structure(fixture(a), fixture(b), max_mu=3, max_inner=2)
-        assert not residual_inner(pair, 2, 0)
+        assert not residual(pair, rho(2, 0))
 
 
 def test_rho20_identity_negative_control():
@@ -406,16 +507,18 @@ def test_rho20_identity_negative_control():
         sa = random_structures(rng, (0, 1), max_mu=3, max_inner=2)
         pair = tensor_structure(sa, fixture("frobenius"), max_mu=3,
                                 max_inner=2)
-        if residual_inner(pair, 2, 0):
+        if residual(pair, rho(2, 0)):
             hits += 1
     assert hits >= 2
 
 
 def test_tensor_structures_of_fixture_pairings_satisfy_every_relation():
     # frobenius is all even, so only two_term (x) two_term, with odd
-    # elements and a nonzero d on both sides, sees the signs of tensor_maps
+    # elements and a nonzero d on both sides, sees the signs of tensor_maps;
+    # heisenberg is the one fixture whose d meets a nonzero product
     for a, b in [("frobenius", "two_term"), ("two_term", "frobenius"),
-                 ("frobenius", "mu3"), ("two_term", "two_term")]:
+                 ("frobenius", "mu3"), ("two_term", "two_term"),
+                 ("heisenberg", "two_term"), ("two_term", "heisenberg")]:
         validate_structures(tensor_structure(fixture(a), fixture(b),
                                              max_mu=4, max_inner=2))
 

@@ -2,10 +2,15 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from planarops.diagrams import INNER, MODULE, TREE, ShapeClass, shapes_up_to
+import pytest
+
+from planarops.diagrams import (
+    INNER, MODULE, TREE, DiagramError, ShapeClass, shapes_up_to,
+)
 from planarops.homology import (
     ComplexReport, _boundary_rows, _cubical_complex, cell_generators,
-    collapse, collapsed_betti, homology_report, is_contractible, sparse_rank,
+    check_cube_columns, collapse, collapsed_betti, homology_report,
+    is_contractible, sparse_rank,
 )
 
 
@@ -100,6 +105,36 @@ def test_cubical_matrices_match_the_operad_boundary():
         assert homology_report(shape, "q").f_vector == f_vector
         assert matrices == [_boundary_rows(gens[d - 1], gens[d], image)
                             for d in range(1, len(gens))], shape
+
+
+def _face_mutants(shape):
+    """The cubical matrices of `shape` with the sign of each non-metric
+    face (D, M - e) flipped, and with each contracted face (D/e, M - e)
+    dropped: the two faces are told apart by their diagrams."""
+    layers, matrices = _cubical_complex(shape)
+    gens, _image = cell_generators(shape, "q")
+    flipped, dropped = [], []
+    for d, rows in enumerate(matrices, 1):
+        same = [[gens[d - 1][i].diagram == gens[d][j].diagram for j in row]
+                for i, row in enumerate(rows)]
+        flipped.append([{j: -v if s else v
+                         for (j, v), s in zip(row.items(), f)}
+                        for row, f in zip(rows, same)])
+        dropped.append([{j: v for (j, v), s in zip(row.items(), f) if s}
+                        for row, f in zip(rows, same)])
+    return layers, matrices, flipped, dropped
+
+
+@pytest.mark.parametrize("shape", [ShapeClass(TREE, (4,)),
+                                   ShapeClass(MODULE, (1, 1)),
+                                   ShapeClass(INNER, (2, 0))])
+def test_cube_column_check_sees_each_face_mutant(shape):
+    # both mutants still square to zero, so d o d = 0 cannot see them
+    layers, matrices, flipped, dropped = _face_mutants(shape)
+    check_cube_columns(layers, matrices)
+    for mutant in (flipped, dropped):
+        with pytest.raises(DiagramError, match="cubical boundary column"):
+            check_cube_columns(layers, mutant)
 
 
 @given(matrices())
