@@ -168,6 +168,20 @@ def test_check_endomorphisms_sees_the_sigma_sharp_koszul_sign(monkeypatch,
     assert "multiplicativity" in detail
 
 
+def test_check_order_sees_a_cycle_of_covers(monkeypatch):
+    # mutation check: a back edge against the T3 move closes a cycle, and
+    # criterion 6 must name a node on it
+    from planarops.diagrams import parse
+    from planarops.tamari import covers
+    low, high = parse("((* *) *)"), parse("(* (* *))")
+
+    def with_back_edge(b):
+        return covers(b) + ((low, None),) if b is high else covers(b)
+
+    monkeypatch.setattr(verify, "covers", with_back_edge)
+    assert verify.check_order(4) == (False, "cycle through ((* *) *)")
+
+
 def test_graft_bookkeeping_check_survives_memoization(monkeypatch,
                                                       fresh_caches):
     # mutation check: a splice that drops the guest must trip graft's
