@@ -98,7 +98,6 @@ def p_tensor(x):
     return _both_factors(p_map, x)
 
 
-@lru_cache(maxsize=None)
 def _delta_c_corolla(corolla):
     """delta_c of the corolla: p of (B; X metric) is p of B's binary pieces,
     zero unless each is its class's maximum, so X takes positive edges."""

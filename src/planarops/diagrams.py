@@ -1047,7 +1047,7 @@ def cut(d, key):
 
 
 # ---------------------------------------------------------------------------
-# enumeration and rotation
+# enumeration, rotation and reflection
 
 @lru_cache(maxsize=None)
 def enumerate_class(shape, deg):
@@ -1069,3 +1069,29 @@ def rotate180(d):
     inn = d.payload
     return inner_diagram(inn.right_arm, tuple(reversed(inn.down)),
                          inn.left_arm, tuple(reversed(inn.up)))
+
+
+def _mirror_thin(t):
+    # a list, not a generator: from Python 3.12 on, one frame per level
+    return ThinTree(tuple([_mirror_thin(c) for c in reversed(t.children)]))
+
+
+def _mirror_forest(forest):
+    return tuple([_mirror_thin(t) for t in reversed(forest)])
+
+
+def _mirror_stack(stack):
+    return tuple(ModuleVertex(_mirror_forest(v.right), _mirror_forest(v.left))
+                 for v in stack)
+
+
+def mirror(d):
+    """Reflect a diagram in a vertical line; an involution taking T_n,
+    M_{j,k}, I_{j,k} to T_n, M_{k,j}, I_{j,k} that reverses the order."""
+    if d.kind == TREE:
+        return tree_diagram(_mirror_thin(d.payload))
+    if d.kind == MODULE:
+        return module_diagram(_mirror_stack(d.payload))
+    inn = d.payload
+    return inner_diagram(_mirror_stack(inn.right_arm), _mirror_forest(inn.up),
+                         _mirror_stack(inn.left_arm), _mirror_forest(inn.down))

@@ -29,7 +29,7 @@ from itertools import combinations
 from .diagrams import (
     MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract,
     edge_count, edges, enumerate_class, expansions_tagged, fmt, inner_diagram,
-    is_binary, module_diagram, shape_class, tree_diagram,
+    is_binary, mirror, module_diagram, shape_class, tree_diagram,
 )
 
 
@@ -189,25 +189,12 @@ def below(t):
     return [s for s, _b in cells_below(t)[1]]
 
 
-def _min_thin(t, comb):
-    if t.is_leaf:
-        return t
-    cs = [_min_thin(c, comb) for c in t.children]
-    return comb(cs)
-
-
 def _left_comb(cs):
-    acc = cs[0]
-    for c in cs[1:]:
-        acc = ThinTree((acc, c))
-    return acc
+    return reduce(lambda acc, c: ThinTree((acc, c)), cs)
 
 
-def _right_comb(cs):
-    acc = cs[-1]
-    for c in reversed(cs[:-1]):
-        acc = ThinTree((c, acc))
-    return acc
+def _min_thin(t):
+    return t if t.is_leaf else _left_comb([_min_thin(c) for c in t.children])
 
 
 def _min_stack(stack):
@@ -215,20 +202,8 @@ def _min_stack(stack):
     for v in stack:
         if v.left:
             out.append(ModuleVertex(
-                (_left_comb([_min_thin(t, _left_comb) for t in v.left]),), ()))
-        out.extend(ModuleVertex((), (_min_thin(s, _left_comb),))
-                   for s in reversed(v.right))
-    return tuple(out)
-
-
-def _max_stack(stack):
-    out = []
-    for v in stack:
-        if v.right:
-            out.append(ModuleVertex(
-                (), (_right_comb([_min_thin(s, _right_comb) for s in v.right]),)))
-        out.extend(ModuleVertex((_min_thin(t, _right_comb),), ())
-                   for t in v.left)
+                (_left_comb([_min_thin(t) for t in v.left]),), ()))
+        out.extend(ModuleVertex((), (_min_thin(s),)) for s in reversed(v.right))
     return tuple(out)
 
 
@@ -236,30 +211,22 @@ def _max_stack(stack):
 def dmin(d):
     """The unique minimal binary expansion of d."""
     if d.kind == TREE:
-        return tree_diagram(_min_thin(d.payload, _left_comb))
+        return tree_diagram(_min_thin(d.payload))
     if d.kind == MODULE:
         return module_diagram(_min_stack(d.payload))
     inn = d.payload
-    la = tuple(ModuleVertex((), (_min_thin(u, _left_comb),))
+    la = tuple(ModuleVertex((), (_min_thin(u),))
                for u in reversed(inn.up)) + _min_stack(inn.left_arm)
-    ra = tuple(ModuleVertex((), (_min_thin(t, _left_comb),))
+    ra = tuple(ModuleVertex((), (_min_thin(t),))
                for t in inn.down) + _min_stack(inn.right_arm)
     return inner_diagram(la, (), ra, ())
 
 
 @lru_cache(maxsize=None)
 def dmax(d):
-    """The unique maximal binary expansion of d."""
-    if d.kind == TREE:
-        return tree_diagram(_min_thin(d.payload, _right_comb))
-    if d.kind == MODULE:
-        return module_diagram(_max_stack(d.payload))
-    inn = d.payload
-    ra = tuple(ModuleVertex((_min_thin(u, _right_comb),), ())
-               for u in inn.up) + _max_stack(inn.right_arm)
-    la = tuple(ModuleVertex((_min_thin(t, _right_comb),), ())
-               for t in reversed(inn.down)) + _max_stack(inn.left_arm)
-    return inner_diagram(la, (), ra, ())
+    """The unique maximal binary expansion of d: the reflection reverses
+    the order, so it is the mirror of the minimum of the mirror."""
+    return mirror(dmin(mirror(d)))
 
 
 def poset_extremes(shape):

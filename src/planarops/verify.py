@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from traceback import format_exc
 
@@ -206,23 +207,12 @@ def check_order(cap):
     """Antisymmetry, unique extremes, monotone positive count."""
     anti_cap = min(cap, 8)
     for shape in shapes_up_to(anti_cap):
-        nodes = enumerate_class(shape, 0)
-        seen, done = set(), set()
-        for start in nodes:
-            stack = [(start, iter([b for b, _s in covers(start)]))]
-            on_path = {start}
-            while stack:
-                node, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    done.add(node)
-                    on_path.discard(node)
-                    stack.pop()
-                elif nxt in on_path:
-                    return False, "cycle through %s" % fmt(nxt)
-                elif nxt not in done:
-                    on_path.add(nxt)
-                    stack.append((nxt, iter([b for b, _s in covers(nxt)])))
+        graph = {b: [b2 for b2, _s in covers(b)]
+                 for b in enumerate_class(shape, 0)}
+        try:
+            TopologicalSorter(graph).prepare()
+        except CycleError as exc:
+            return False, "cycle through %s" % fmt(exc.args[1][0])
     cap7 = min(cap, 7)
     for shape in shapes_up_to(cap7):
         c = corolla_of(shape)

@@ -1,20 +1,22 @@
 """The diagram kernel against independent constructions kept here as
 oracles: edge keys walked per subtree and per thick edge, thick-leaf
 positions counted from the stored forests, `graft`'s leaf order laid out
-by hand, `dmax` as the mirror image of `dmin`, moves that carry a full
-edge bijection, and the pair loops that read S_max <= T_min before
-`below`."""
+by hand, `dmax` and `dmin` as the extremes of each face, moves that carry
+a full edge bijection, and the pair loops that read S_max <= T_min before
+`below`.  The mirror is checked to reverse the order, since `dmax` is
+defined through it."""
+
+from functools import reduce
 
 import pytest
 
 from planarops import tamari
 from planarops.diagonal import support_formula
 from planarops.diagrams import (
-    INNER, MODULE, THICK, TREE, ModuleVertex, ThinTree, _stacks,
-    canonical_addresses, canonical_colors, corolla_of, cut, degree, edge_locs,
-    edges, enumerate_class, fmt, inner_corolla, inner_diagram, leaf_count,
-    module_diagram, parse, rotate180, shape_class, shapes_up_to,
-    tree_diagram,
+    INNER, MODULE, THICK, TREE, ShapeClass, _stacks, canonical_addresses,
+    canonical_colors, contract, corolla_of, cut, degree, edge_locs, edges,
+    enumerate_class, fmt, inner_corolla, is_binary, leaf_count, mirror, parse,
+    rotate180, shape_class, shapes_up_to,
 )
 from planarops.tamari import (
     _edge_pair, below, classify_edges, cocovers, covers, dmax, dmin, leq,
@@ -159,38 +161,63 @@ def test_graft_maps_match_the_hand_laid_order():
     assert cuts == 8251 and rotated > 0
 
 
-# --- dmax as the mirror image of dmin ---------------------------------------
+# --- the order's extremes: the mirror, and the extremes of each face --------
 
-def mirror_thin(t):
-    return ThinTree(tuple(mirror_thin(c) for c in reversed(t.children)))
-
-
-def mirror_forest(forest):
-    return tuple(mirror_thin(t) for t in reversed(forest))
-
-
-def mirror_stack(stack):
-    return tuple(ModuleVertex(mirror_forest(v.right), mirror_forest(v.left))
-                 for v in stack)
+def mirrored_shape(shape):
+    """A module vertex's two sides swap; an inner diagram's upper and lower
+    forests stay upper and lower."""
+    return ShapeClass(shape.kind, shape.params[::-1] if shape.kind == MODULE
+                      else shape.params)
 
 
-def mirror(d):
-    """The reflection of `d` in a vertical line."""
-    if d.kind == TREE:
-        return tree_diagram(mirror_thin(d.payload))
-    if d.kind == MODULE:
-        return module_diagram(mirror_stack(d.payload))
-    inn = d.payload
-    return inner_diagram(mirror_stack(inn.right_arm), mirror_forest(inn.up),
-                         mirror_stack(inn.left_arm), mirror_forest(inn.down))
+def test_mirror_is_an_involution_that_swaps_the_module_sides():
+    for d in ALL6:
+        m = mirror(d)
+        assert mirror(m) is d
+        assert shape_class(m) == mirrored_shape(shape_class(d)), d
+        assert degree(m) == degree(d)
+    for shape in shapes_up_to(6):
+        assert mirror(corolla_of(shape)) is corolla_of(mirrored_shape(shape))
+
+
+# the mirror keeps moves 1, 2, 5 and 6 and swaps 3 (two left trees) with 4
+MIRRORED_MOVE = {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 6}
+
+
+def test_mirror_reverses_the_order():
+    binaries = [d for d in ALL6 if degree(d) == 0]
+    for b in binaries:
+        assert sorted((fmt(o), s.move) for o, s in covers(mirror(b))) == \
+            sorted((fmt(mirror(o)), MIRRORED_MOVE[s.move])
+                   for o, s in cocovers(b)), b
+    assert len(binaries) == 755
+
+
+def is_face_extreme(b, d, moves):
+    """Whether `b` is a binary expansion of `d` (it contracts back to `d`
+    along its edges that are not edges of `d`) from which every move of
+    `moves` (`covers` or `cocovers`) leaves the face of `d`, i.e. is made
+    at an edge of `d`."""
+    old = set(edges(d))
+    return (is_binary(b) and old <= set(edges(b))
+            and reduce(contract, set(edges(b)) - old, b) == d
+            and all(step.site in old for _o, step in moves(b)))
 
 
 @pytest.mark.parametrize("kind", [TREE, MODULE, INNER])
-def test_dmax_is_the_mirror_of_dmin(kind):
+def test_dmax_and_dmin_are_the_extremes_of_the_face(kind):
     for d in ALL6:
         if d.kind == kind:
-            assert mirror(mirror(d)) is d
-            assert dmax(d) is mirror(dmin(mirror(d))), d
+            assert is_face_extreme(dmax(d), d, covers), d
+            assert is_face_extreme(dmin(d), d, cocovers), d
+
+
+def test_face_extreme_oracle_rejects_the_minimum_as_maximum():
+    # mutation check: dmax = dmin passes only on the binary diagrams, whose
+    # face is one point
+    faces = [d for d in ALL6 if degree(d) > 0]
+    assert not any(is_face_extreme(dmin(d), d, covers) for d in faces)
+    assert len(faces) + 755 == len(ALL6) == 3154
 
 
 # --- moves: every edge of a move with its key before and after ---------------
