@@ -28,9 +28,9 @@ Conventions pinned here and validated by the test suite:
 * arm stacks of an inner diagram are stored root-first, i.e. the vertex
   nearest the center comes first; the left arm's right forests sit in the
   upper half-plane, the right arm's left forests likewise;
-* lower forests of an inner diagram are stored as walked (right to left in
-  the drawing), while the sequence of lower trees itself is kept in drawing
-  order, so the boundary walk traverses ``reversed(down)``.
+* the lower forest of an inner diagram is stored as walked (right to left
+  in the drawing), like every other forest; only ``fmt`` and ``parse`` write
+  it in drawing order.
 
 Nodes are interned (hash-consed): ``ThinTree``, ``ModuleVertex``,
 ``InnerData`` and ``Diagram`` each keep one table from their fields to the
@@ -297,6 +297,7 @@ def module_diagram(stack):
 
 
 def inner_diagram(left_arm, up, right_arm, down):
+    """`down` is the lower forest as walked, right to left in the drawing."""
     return Diagram(INNER, InnerData(tuple(left_arm), tuple(up),
                                     tuple(right_arm), tuple(down)))
 
@@ -342,9 +343,9 @@ def _fmt_module(stack):
 
 @lru_cache(maxsize=None)
 def fmt(d):
-    """Canonical serialization; ``parse(fmt(d)) == d``.  Memoized: it is
-    the sort key of `expansions` and `enumerate_class`, and interned
-    diagrams are cheap keys."""
+    """Canonical serialization; ``parse(fmt(d)) == d``, with the lower
+    forest in drawing order.  Memoized: it is the sort key of `expansions`
+    and `enumerate_class`, and interned diagrams are cheap keys."""
     if d.kind == TREE:
         return _fmt_thin(d.payload)
     if d.kind == MODULE:
@@ -353,7 +354,8 @@ def fmt(d):
     return "<%s ; %s ; %s ; %s>" % (_fmt_module(inn.left_arm),
                                     " ".join(_fmt_thin(t) for t in inn.up),
                                     _fmt_module(inn.right_arm),
-                                    " ".join(_fmt_thin(t) for t in inn.down))
+                                    " ".join(_fmt_thin(t)
+                                             for t in reversed(inn.down)))
 
 
 class _Parser:
@@ -428,7 +430,7 @@ class _Parser:
             self.expect(";")
             down = self.thin_forest(">")
             self.expect(">")
-            return inner_diagram(la, up, ra, down)
+            return inner_diagram(la, up, ra, down[::-1])
         if ch in "|{":
             return module_diagram(self.module())
         return tree_diagram(self.thin())
@@ -534,23 +536,18 @@ def root_color(d):
 #   inner:   ("la",) + module address | ("ra",) + module address
 #            | ("up", i) + path | ("dn", i) + path
 
-def _thin_addresses(t, prefix):
-    if t.is_leaf:
-        return [prefix]
-    out = []
-    for i, c in enumerate(t.children):
-        out.extend(_thin_addresses(c, prefix + (i,)))
-    return out
+def _forest_addresses(forest, prefix):
+    """The leaf addresses of `forest` as walked, prefix + (tree,) + path."""
+    return [a for i, t in enumerate(forest)
+            for a in (_forest_addresses(t.children, prefix + (i,))
+                      if t.children else (prefix + (i,),))]
 
 
 def _stack_addresses(stack):
-    pre, post = [], []
-    for vi, v in enumerate(stack):
-        for ti, t in enumerate(v.left):
-            pre.extend(_thin_addresses(t, ("L", vi, ti)))
-    for vi in range(len(stack) - 1, -1, -1):
-        for ti, t in enumerate(stack[vi].right):
-            post.extend(_thin_addresses(t, ("R", vi, ti)))
+    pre = [a for vi, v in enumerate(stack)
+           for a in _forest_addresses(v.left, ("L", vi))]
+    post = [a for vi in range(len(stack) - 1, -1, -1)
+            for a in _forest_addresses(stack[vi].right, ("R", vi))]
     return pre + [("thick",)] + post
 
 
@@ -558,22 +555,15 @@ def _stack_addresses(stack):
 def canonical_addresses(d):
     """Leaf addresses in canonical (clockwise boundary walk) order."""
     if d.kind == TREE:
-        return tuple(_thin_addresses(d.payload, ("t",)))
+        return tuple(_forest_addresses(d.payload.children, ("t",)))
     if d.kind == MODULE:
         return tuple(_stack_addresses(d.payload))
     inn = d.payload
-    la = _stack_addresses(inn.left_arm)
-    cut = la.index(("thick",))
-    la_pre, la_post = la[:cut], la[cut + 1:]
-    order = [("la", "thick")]
-    order.extend(("la",) + a for a in la_post)
-    for i, t in enumerate(inn.up):
-        order.extend(_thin_addresses(t, ("up", i)))
-    order.extend(("ra",) + a for a in _stack_addresses(inn.right_arm))
-    for i in range(len(inn.down) - 1, -1, -1):
-        order.extend(_thin_addresses(inn.down[i], ("dn", i)))
-    order.extend(("la",) + a for a in la_pre)
-    return tuple(order)
+    la = [("la",) + a for a in _stack_addresses(inn.left_arm)]
+    cut = la.index(("la", "thick"))        # the walk starts at this leaf
+    return tuple(la[cut:] + _forest_addresses(inn.up, ("up",))
+                 + [("ra",) + a for a in _stack_addresses(inn.right_arm)]
+                 + _forest_addresses(inn.down, ("dn",)) + la[:cut])
 
 
 def leaf_color(addr):
@@ -776,16 +766,9 @@ def contract(d, key):
     if loc is None:
         raise DiagramError("unknown edge %s on %s" % (sorted(key), fmt(d)))
     if loc[0] == "thin":
-        # a forest root dissolves into its forest; lower forests are stored
-        # as walked, so their children join in reverse
-        reverse = loc[1][0] == "dn"
-
-        def collapse(t, path):
-            if path:
-                return (_thin_contract(t, path),)
-            return tuple(reversed(t.children)) if reverse else t.children
-
-        return _replace_forest(d, loc[1], collapse)
+        # a forest root dissolves into its forest
+        return _replace_forest(d, loc[1], lambda t, path: (
+            (_thin_contract(t, path),) if path else t.children))
     _thick, wrap, i = loc
     stack = _stack_at(d, wrap)
     if i > 0:
@@ -794,9 +777,9 @@ def contract(d, key):
     inn, v0 = _with_stack(d, wrap, stack[1:]).payload, stack[0]
     if wrap == ("la",):
         return inner_diagram(inn.left_arm, v0.right + inn.up, inn.right_arm,
-                             tuple(reversed(v0.left)) + inn.down)
+                             inn.down + v0.left)
     return inner_diagram(inn.left_arm, inn.up + v0.left, inn.right_arm,
-                         inn.down + tuple(reversed(v0.right)))
+                         v0.right + inn.down)
 
 
 # ---------------------------------------------------------------------------
@@ -809,18 +792,17 @@ def contract(d, key):
 #   "cleft"   a run of central forests moved onto a new innermost left-arm vertex
 #   "cright"  same, onto the right arm
 
-def _forest_expansions(forest, whole=True, reverse=False):
+def _forest_expansions(forest, whole=True):
     """Every forest one thin edge away from `forest`: a consecutive run of
     its trees grouped under a new vertex, or the same inside one tree.  The
     run may be the whole forest only if `whole` (never the children of a
-    vertex); a lower forest, stored as walked, groups its run reversed."""
+    vertex)."""
     out = []
     r = len(forest)
     for a in range(r):
         for b in range(a + 2, r + 1):
             if whole or b - a < r:
-                run = forest[a:b][::-1] if reverse else forest[a:b]
-                out.append(forest[:a] + (ThinTree(run),) + forest[b:])
+                out.append(forest[:a] + (ThinTree(forest[a:b]),) + forest[b:])
     for i, t in enumerate(forest):
         out.extend(forest[:i] + (ThinTree(cs),) + forest[i + 1:]
                    for cs in _forest_expansions(t.children, whole=False))
@@ -848,20 +830,20 @@ def _central_splits(inn):
     out = []
     nu, nd = len(inn.up), len(inn.down)
     for i in range(nu + 1):          # up prefix -> left arm
-        for j in range(nd + 1):      # down prefix -> left arm
-            if i + j == 0:
+        for j in range(nd + 1):      # down suffix -> left arm
+            if i == 0 and j == nd:
                 continue
-            nv = ModuleVertex(tuple(reversed(inn.down[:j])), inn.up[:i])
+            nv = ModuleVertex(inn.down[j:], inn.up[:i])
             d2 = inner_diagram((nv,) + inn.left_arm, inn.up[i:],
-                               inn.right_arm, inn.down[j:])
+                               inn.right_arm, inn.down[:j])
             out.append((d2, "cleft"))
     for i in range(nu + 1):          # up suffix -> right arm
-        for j in range(nd + 1):      # down suffix -> right arm
-            if (nu - i) + (nd - j) == 0:
+        for j in range(nd + 1):      # down prefix -> right arm
+            if i == nu and j == 0:
                 continue
-            nv = ModuleVertex(inn.up[i:], tuple(reversed(inn.down[j:])))
+            nv = ModuleVertex(inn.up[i:], inn.down[:j])
             d2 = inner_diagram(inn.left_arm, inn.up[:i],
-                               (nv,) + inn.right_arm, inn.down[:j])
+                               (nv,) + inn.right_arm, inn.down[j:])
             out.append((d2, "cright"))
     return out
 
@@ -884,8 +866,8 @@ def _expansions_tagged(d):
         inn = d.payload
         out.extend(_central_splits(inn))
         for tag in ("up", "dn"):
-            out.extend((_with_part(inn, tag, f), "group") for f in
-                       _forest_expansions(_part(inn, tag), reverse=tag == "dn"))
+            out.extend((_with_part(inn, tag, f), "group")
+                       for f in _forest_expansions(_part(inn, tag)))
     return out
 
 
@@ -1067,8 +1049,7 @@ def rotate180(d):
     if d.kind != INNER:
         raise DiagramError("rotate180 needs an inner diagram")
     inn = d.payload
-    return inner_diagram(inn.right_arm, tuple(reversed(inn.down)),
-                         inn.left_arm, tuple(reversed(inn.up)))
+    return inner_diagram(inn.right_arm, inn.down, inn.left_arm, inn.up)
 
 
 def _mirror_thin(t):

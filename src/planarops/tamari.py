@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
 
 from .diagrams import (
     MODULE, TREE, DiagramError, ModuleVertex, ThinTree, contract,
@@ -172,13 +171,14 @@ def cells_below(t):
     t's shape class of complementary degree with S_max <= t_min, as pairs
     (S, S_max) in `enumerate_class` order of S.
 
-    S_max = B exactly when S contracts only positive edges of B, so the
-    cells are the B / X for B in the down-set of t_min and X a set of
-    edge_count(t) positive edges of B, each met once."""
+    S_max = B exactly when S contracts only positive edges of B.  No B
+    below t_min has more than edge_count(t) of them (t_min's are edges of
+    t, and the count never rises going down), so each cell is met once, as
+    a B with exactly edge_count(t) positive edges contracted along all."""
     k = edge_count(t)
     tree = _reach(dmin(t), cocovers)
-    cells = [(reduce(contract, x, b), b) for b in tree
-             for x in combinations(positive_edges(b), k)]
+    cells = [(reduce(contract, pos, b), b) for b in tree
+             if len(pos := positive_edges(b)) == k]
     cells.sort(key=lambda cell: fmt(cell[0]))
     return tree, cells
 
@@ -218,7 +218,7 @@ def dmin(d):
     la = tuple(ModuleVertex((), (_min_thin(u),))
                for u in reversed(inn.up)) + _min_stack(inn.left_arm)
     ra = tuple(ModuleVertex((), (_min_thin(t),))
-               for t in inn.down) + _min_stack(inn.right_arm)
+               for t in reversed(inn.down)) + _min_stack(inn.right_arm)
     return inner_diagram(la, (), ra, ())
 
 

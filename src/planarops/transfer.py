@@ -6,9 +6,10 @@ extends multiplicatively; the signed relabeling action on the source becomes
 the unsigned one on the target.  p sends a fully metric generator D to the
 sum of the diagrams S in `tamari.below(D)`, those of complementary degree
 with S_max <= D_min, each carrying the orientation induced along its path in
-the one walk of D_min's down-set (`tamari.cells_below`), extends
-multiplicatively over non-metric edges, and turns the unsigned action back
-into the signed one.
+the one walk of D_min's down-set: `tamari.cells_below` finds each S as a B
+below D_min with exactly edge_count(D) positive edges, contracted along all
+of them.  p extends multiplicatively over non-metric edges, and turns the
+unsigned action back into the signed one.
 
 Both maps are multiplicative and intertwine the actions, so the image of
 a generator is `formal.evaluate` of its first decomposition step
@@ -34,9 +35,7 @@ from .operad_q import (
     q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
-from .tamari import (
-    _reach, cells_below, covers, dmin, positive_edges, tree_path,
-)
+from .tamari import _reach, cells_below, covers, dmin, tree_path
 
 
 @lru_cache(maxsize=None)
@@ -62,8 +61,6 @@ def q_map(x):
 @scoped_memo(lambda diagram: diagram.leaves)
 def _p_fullmetric(diagram):
     """p on the fully metric generator with +sorted orientation."""
-    if positive_edges(dmin(diagram)) != frozenset(edges(diagram)):
-        return FormalSum()
     omega_d = orient(edges(diagram), 1)
     tree, cells = cells_below(diagram)
     return FormalSum(c_generator(s, orientation=omega_sd(

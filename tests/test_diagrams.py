@@ -4,7 +4,7 @@ import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, THICK, THIN, TREE, ColorMismatch, DiagramError, ShapeClass,
-    canonical_colors, contract, corolla_of, cut, degree, edge_count,
+    canonical_addresses, canonical_colors, contract, corolla_of, cut, degree, edge_count,
     edge_locs, edges, enumerate_class, expansions, fmt, fmt_edge, graft,
     inner_corolla, leaf_count, module_corolla, parse, parse_edge, rotate180,
     shape_class, shapes_up_to, tree_corolla,
@@ -337,6 +337,24 @@ def test_rotate180_is_involution():
             assert rotate180(rotate180(d)) == d
             jk = shape_class(d).params
             assert shape_class(rotate180(d)).params == (jk[1], jk[0])
+
+
+def test_rotate180_relabels_the_edge_keys():
+    # the half turn starts the walk at the right thick leaf, at canonical
+    # position r: leaf p becomes leaf (p - r) mod n + 1
+    count = 0
+    for shape in shapes_up_to(6, kinds=(INNER,)):
+        j, k = shape.params
+        for d in all_diagrams(shape):
+            count += 1
+            rd = rotate180(d)
+            assert rotate180(rd) == d
+            assert shape_class(rd) == ShapeClass(INNER, (k, j))
+            n = leaf_count(d)
+            r = canonical_addresses(d).index(("ra", "thick")) + 1
+            assert {frozenset((p - r) % n + 1 for p in e)
+                    for e in edges(d)} == set(edges(rd)), fmt(d)
+    assert count == 1435
 
 
 def test_rotate180_rejects_everything_else():
