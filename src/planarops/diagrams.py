@@ -538,16 +538,21 @@ def root_color(d):
 
 def _forest_addresses(forest, prefix):
     """The leaf addresses of `forest` as walked, prefix + (tree,) + path."""
-    return [a for i, t in enumerate(forest)
-            for a in (_forest_addresses(t.children, prefix + (i,))
-                      if t.children else (prefix + (i,),))]
+    out = []
+    for i, t in enumerate(forest):
+        if t.is_leaf:
+            out.append(prefix + (i,))
+        else:
+            out.extend(_forest_addresses(t.children, prefix + (i,)))
+    return out
 
 
 def _stack_addresses(stack):
-    pre = [a for vi, v in enumerate(stack)
-           for a in _forest_addresses(v.left, ("L", vi))]
-    post = [a for vi in range(len(stack) - 1, -1, -1)
-            for a in _forest_addresses(stack[vi].right, ("R", vi))]
+    pre, post = [], []
+    for vi, v in enumerate(stack):
+        pre.extend(_forest_addresses(v.left, ("L", vi)))
+    for vi in range(len(stack) - 1, -1, -1):
+        post.extend(_forest_addresses(stack[vi].right, ("R", vi)))
     return pre + [("thick",)] + post
 
 
@@ -767,8 +772,12 @@ def contract(d, key):
         raise DiagramError("unknown edge %s on %s" % (sorted(key), fmt(d)))
     if loc[0] == "thin":
         # a forest root dissolves into its forest
-        return _replace_forest(d, loc[1], lambda t, path: (
-            (_thin_contract(t, path),) if path else t.children))
+        def collapse(t, path):
+            if path:
+                return (_thin_contract(t, path),)
+            return t.children
+
+        return _replace_forest(d, loc[1], collapse)
     _thick, wrap, i = loc
     stack = _stack_at(d, wrap)
     if i > 0:

@@ -172,9 +172,11 @@ def cells_below(t):
     (S, S_max) in `enumerate_class` order of S.
 
     S_max = B exactly when S contracts only positive edges of B.  No B
-    below t_min has more than edge_count(t) of them (t_min's are edges of
-    t, and the count never rises going down), so each cell is met once, as
-    a B with exactly edge_count(t) positive edges contracted along all."""
+    below t_min has more than edge_count(t) of them: t_min's are edges of
+    t, and the count never rises going down a cocover (criterion 6,
+    `verify.check_order`, checks it to 7 leaves; the tamari tests check
+    the premise itself to 7).  So each cell is met once, as a B with
+    exactly edge_count(t) positive edges contracted along all."""
     k = edge_count(t)
     tree = _reach(dmin(t), cocovers)
     cells = [(reduce(contract, pos, b), b) for b in tree

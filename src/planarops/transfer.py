@@ -35,7 +35,9 @@ from .operad_q import (
     q_generator,
 )
 from .orientations import omega_sd, omega_std, orient
-from .tamari import _reach, cells_below, covers, dmin, tree_path
+from .tamari import (
+    _reach, cells_below, covers, dmin, positive_edges, tree_path,
+)
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +63,9 @@ def q_map(x):
 @scoped_memo(lambda diagram: diagram.leaves)
 def _p_fullmetric(diagram):
     """p on the fully metric generator with +sorted orientation."""
+    # no cell exactly when this fails; it spares the down-set walk
+    if positive_edges(dmin(diagram)) != frozenset(edges(diagram)):
+        return FormalSum()
     omega_d = orient(edges(diagram), 1)
     tree, cells = cells_below(diagram)
     return FormalSum(c_generator(s, orientation=omega_sd(

@@ -4,10 +4,10 @@ import pytest
 
 from planarops.diagrams import (
     INNER, MODULE, THICK, THIN, TREE, ColorMismatch, DiagramError, ShapeClass,
-    canonical_addresses, canonical_colors, contract, corolla_of, cut, degree, edge_count,
-    edge_locs, edges, enumerate_class, expansions, fmt, fmt_edge, graft,
-    inner_corolla, leaf_count, module_corolla, parse, parse_edge, rotate180,
-    shape_class, shapes_up_to, tree_corolla,
+    canonical_addresses, canonical_colors, contract, corolla_of, cut, degree,
+    edge_count, edge_locs, edges, enumerate_class, expansions, fmt, fmt_edge,
+    graft, inner_corolla, leaf_count, module_corolla, parse, parse_edge,
+    rotate180, shape_class, shapes_up_to, tree_corolla,
 )
 from test_kernel_oracles import thick_positions
 
@@ -344,16 +344,12 @@ def test_rotate180_relabels_the_edge_keys():
     # position r: leaf p becomes leaf (p - r) mod n + 1
     count = 0
     for shape in shapes_up_to(6, kinds=(INNER,)):
-        j, k = shape.params
         for d in all_diagrams(shape):
             count += 1
-            rd = rotate180(d)
-            assert rotate180(rd) == d
-            assert shape_class(rd) == ShapeClass(INNER, (k, j))
             n = leaf_count(d)
             r = canonical_addresses(d).index(("ra", "thick")) + 1
             assert {frozenset((p - r) % n + 1 for p in e)
-                    for e in edges(d)} == set(edges(rd)), fmt(d)
+                    for e in edges(d)} == set(edges(rotate180(d))), fmt(d)
     assert count == 1435
 
 

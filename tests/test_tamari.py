@@ -185,9 +185,10 @@ def test_cells_are_the_positive_contractions_of_their_maximum():
 def test_no_binary_below_the_minimum_has_more_positive_edges_than_the_face():
     # why `cells_below` contracts each B along all its positive edges: the
     # positive edges of t_min are edges of t and their count never rises
-    # going down, so at most one set of edge_count(t) of them exists
+    # going down, so at most one set of edge_count(t) of them exists; to 7
+    # leaves, one below the CLI's size cap
     count = 0
-    for shape in shapes_up_to(6):
+    for shape in shapes_up_to(7):
         for deg in range(degree(corolla_of(shape)) + 1):
             for d in enumerate_class(shape, deg):
                 count += 1
@@ -195,7 +196,7 @@ def test_no_binary_below_the_minimum_has_more_positive_edges_than_the_face():
                 assert positive_edges(dmin(d)) <= set(own), d
                 for b in _reach(dmin(d), cocovers):
                     assert len(positive_edges(b)) <= len(own), (d, b)
-    assert count == 3154
+    assert count == 17308
 
 
 def test_the_down_walk_is_a_spanning_tree_of_the_down_set():
